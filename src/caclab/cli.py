@@ -12,6 +12,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -160,14 +161,7 @@ def _resolved_sim(scenario: Scenario, seed_override: int | None) -> SimParams:
     p = scenario.sim
     if seed_override is None:
         return p
-    return SimParams(
-        horizon=p.horizon,
-        warmup=p.warmup,
-        replications=p.replications,
-        seed=seed_override,
-        service_model=p.service_model,
-        holding=p.holding,
-    )
+    return replace(p, seed=seed_override)
 
 
 def _stats_payload(cfg: SystemConfig, stats: SimStats) -> dict:
@@ -215,14 +209,7 @@ def cmd_simulate(args) -> int:
         trace = _build_trace(scenario, params)
         # Holding-time streams get their own seed lane, disjoint from the
         # trace lane above.
-        holding_params = SimParams(
-            horizon=params.horizon,
-            warmup=params.warmup,
-            replications=params.replications,
-            seed=splitmix64_stream(params.seed, 1),
-            service_model=params.service_model,
-            holding=params.holding,
-        )
+        holding_params = replace(params, seed=splitmix64_stream(params.seed, 1))
         stats = run_trace_driven(cfg, trace, params.holding, holding_params)
         report["mode"] = "trace_driven"
         report["trace_events"] = len(trace)

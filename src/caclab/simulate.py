@@ -15,18 +15,11 @@ from dataclasses import dataclass
 import heapq
 
 import numpy as np
-from scipy import stats as _scipy_stats
+from scipy.special import stdtrit
 
 from .errors import ConfigError, SimulationError
 from .model import SystemConfig, validate_config
 from .traffic import ArrivalTrace, DistributionSpec, sample_distribution
-
-try:
-    import numba as _numba
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    _HAVE_NUMBA = False
 
 _CHUNK = 1 << 16
 _MASK64 = (1 << 64) - 1
@@ -122,62 +115,61 @@ class SimStats:
     degenerate: bool
 
 
-def _markov_kernel(
-    exp_draws,
-    uni_draws,
-    lam,
-    mu,
-    band,
-    thresh,
-    capacity,
-    horizon,
-    warmup,
-    state_f,
-    state_i,
-    n,
-    offered,
-    blocked,
-    occ_time,
-):
-    # Jump chain of the loss system. Consumes one (exponential, uniform)
-    # pair per event until the draws run out or the horizon is reached.
-    # Returns (pairs consumed, reached horizon, status); nonzero status
-    # flags a conservation violation.
-    K = lam.shape[0]
+def _draw_pairs(rng: np.random.Generator):
+    """Endless (exponential, uniform) pairs, drawn in chunks of
+    ``_CHUNK``: each chunk takes its exponentials, then its uniforms."""
+    while True:
+        exp_draws = rng.exponential(size=_CHUNK).tolist()
+        uni_draws = rng.random(size=_CHUNK).tolist()
+        yield from zip(exp_draws, uni_draws)
+
+
+def run_replication(
+    cfg: SystemConfig, params: SimParams, replication_index: int
+) -> ReplicationResult:
+    """One markovian replication, deterministic in (seed, index).
+
+    Simulates the jump chain of the loss system, one (exponential,
+    uniform) pair per event, until the horizon is reached.
+    """
+    validate_config(cfg)
+    seed = splitmix64_stream(params.seed, replication_index)
+    rng = np.random.Generator(np.random.PCG64(seed))
+    lam = cfg.arrival_rates.tolist()
+    mu = cfg.service_rates.tolist()
+    band = cfg.bandwidths.tolist()
+    thresh = cfg.thresholds.tolist()
+    capacity = cfg.capacity
+    horizon = float(params.horizon)
+    warmup = float(params.effective_warmup)
+    K = cfg.num_classes
+    n = [0] * K
+    offered = [0] * K
+    blocked = [0] * K
+    occ_time = [0.0] * (capacity + 1)
     lam_sum = 0.0
-    for i in range(K):
-        lam_sum += lam[i]
-    t = state_f[0]
-    occ = state_i[0]
-    m = exp_draws.shape[0]
-    idx = 0
-    while idx < m:
+    for rate in lam:
+        lam_sum += rate
+    t = 0.0
+    occ = 0
+    for e, uni in _draw_pairs(rng):
+        # Summed afresh each event, in class order, so that the float
+        # results do not depend on the history of the sum.
         mu_dot = 0.0
         for i in range(K):
             mu_dot += mu[i] * n[i]
         total = lam_sum + mu_dot
-        if total <= 0.0:
-            # Frozen chain: nothing will ever move again.
-            lo = t if t > warmup else warmup
-            if horizon > lo:
-                occ_time[occ] += horizon - lo
-            state_f[0] = horizon
-            state_i[0] = occ
-            return idx, True, 0
-        t_next = t + exp_draws[idx] / total
-        if t_next >= horizon:
-            lo = t if t > warmup else warmup
-            if horizon > lo:
-                occ_time[occ] += horizon - lo
-            state_f[0] = horizon
-            state_i[0] = occ
-            return idx + 1, True, 0
+        # A frozen chain (total rate 0) never moves again.
+        t_next = t + e / total if total > 0.0 else horizon
         lo = t if t > warmup else warmup
+        if t_next >= horizon:
+            if horizon > lo:
+                occ_time[occ] += horizon - lo
+            break
         if t_next > lo:
             occ_time[occ] += t_next - lo
         t = t_next
-        u = uni_draws[idx] * total
-        idx += 1
+        u = uni * total
         if u < lam_sum:
             c = 0
             acc = lam[0]
@@ -190,10 +182,11 @@ def _markov_kernel(
                 n[c] += 1
                 occ += band[c]
                 if occ > capacity:
-                    return idx, True, 1
-            else:
-                if t >= warmup:
-                    blocked[c] += 1
+                    raise SimulationError(
+                        "channel conservation violated: occupancy above capacity"
+                    )
+            elif t >= warmup:
+                blocked[c] += 1
         else:
             v = u - lam_sum
             c = 0
@@ -209,70 +202,15 @@ def _markov_kernel(
                         c = j
                         break
             if n[c] <= 0:
-                return idx, True, 2
+                raise SimulationError(
+                    "channel conservation violated: departure from an empty system"
+                )
             n[c] -= 1
             occ -= band[c]
-    state_f[0] = t
-    state_i[0] = occ
-    return idx, False, 0
-
-
-_markov_kernel_py = _markov_kernel
-if _HAVE_NUMBA:
-    _markov_kernel = _numba.njit(cache=True)(_markov_kernel_py)
-
-
-def run_replication(
-    cfg: SystemConfig,
-    params: SimParams,
-    replication_index: int,
-    use_jit: bool = True,
-) -> ReplicationResult:
-    """One markovian replication, deterministic in (seed, index)."""
-    validate_config(cfg)
-    seed = splitmix64_stream(params.seed, replication_index)
-    rng = np.random.Generator(np.random.PCG64(seed))
-    kernel = _markov_kernel if use_jit else _markov_kernel_py
-    lam = cfg.arrival_rates
-    mu = cfg.service_rates
-    band = cfg.bandwidths
-    thresh = cfg.thresholds
-    horizon = float(params.horizon)
-    warmup = float(params.effective_warmup)
-    state_f = np.zeros(1)
-    state_i = np.zeros(1, dtype=np.int64)
-    n = np.zeros(cfg.num_classes, dtype=np.int64)
-    offered = np.zeros(cfg.num_classes, dtype=np.int64)
-    blocked = np.zeros(cfg.num_classes, dtype=np.int64)
-    occ_time = np.zeros(cfg.capacity + 1)
-    while True:
-        exp_draws = rng.exponential(size=_CHUNK)
-        uni_draws = rng.random(size=_CHUNK)
-        _, done, status = kernel(
-            exp_draws,
-            uni_draws,
-            lam,
-            mu,
-            band,
-            thresh,
-            cfg.capacity,
-            horizon,
-            warmup,
-            state_f,
-            state_i,
-            n,
-            offered,
-            blocked,
-            occ_time,
-        )
-        if status != 0:
-            raise SimulationError(f"channel conservation violated (status {status})")
-        if done:
-            break
     return ReplicationResult(
-        offered=offered,
-        blocked=blocked,
-        occupancy_time=occ_time,
+        offered=np.array(offered, dtype=np.int64),
+        blocked=np.array(blocked, dtype=np.int64),
+        occupancy_time=np.array(occ_time),
         measured_time=horizon - warmup,
     )
 
@@ -301,11 +239,11 @@ def _aggregate(reps: list[ReplicationResult], num_classes: int) -> SimStats:
         for k in range(num_classes):
             vals = per_rep[:, k][~np.isnan(per_rep[:, k])]
             if vals.size >= 2:
-                t_crit = _scipy_stats.t.ppf(0.975, vals.size - 1)
+                t_crit = stdtrit(vals.size - 1, 0.975)
                 half_width[k] = t_crit * vals.std(ddof=1) / np.sqrt(vals.size)
         vals = per_rep_overall[~np.isnan(per_rep_overall)]
         if vals.size >= 2:
-            t_crit = _scipy_stats.t.ppf(0.975, vals.size - 1)
+            t_crit = stdtrit(vals.size - 1, 0.975)
             overall_half_width = float(t_crit * vals.std(ddof=1) / np.sqrt(vals.size))
     return SimStats(
         offered=offered,
@@ -321,15 +259,10 @@ def _aggregate(reps: list[ReplicationResult], num_classes: int) -> SimStats:
     )
 
 
-def run_simulation(
-    cfg: SystemConfig, params: SimParams, use_jit: bool = True
-) -> SimStats:
+def run_simulation(cfg: SystemConfig, params: SimParams) -> SimStats:
     """Run the configured number of markovian replications and report
     means with Student-t 95% half-widths across replications."""
-    reps = [
-        run_replication(cfg, params, r, use_jit=use_jit)
-        for r in range(params.replications)
-    ]
+    reps = [run_replication(cfg, params, r) for r in range(params.replications)]
     return _aggregate(reps, cfg.num_classes)
 
 

@@ -6,7 +6,7 @@ thresholds (1, 3, 5); it is small enough for exact chain solves while
 still showing the threshold separation between classes.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -131,14 +131,9 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
         point_rows: dict[str, list[SweepRow]] = {}
         for mode in modes:
             if mode == "sim":
-                p = spec.sim_params
-                point_params = SimParams(
-                    horizon=p.horizon,
-                    warmup=p.warmup,
-                    replications=p.replications,
-                    seed=splitmix64_stream(p.seed, g_idx),
-                    service_model=p.service_model,
-                    holding=p.holding,
+                point_params = replace(
+                    spec.sim_params,
+                    seed=splitmix64_stream(spec.sim_params.seed, g_idx),
                 )
                 stats = run_simulation(cfg, point_params)
                 for row in _sim_rows(lam, stats, num_classes):
