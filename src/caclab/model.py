@@ -168,16 +168,27 @@ def admissible(state, class_index: int, cfg: SystemConfig) -> bool:
     return free_channels(state, cfg) >= cfg.classes[class_index].admission_threshold
 
 
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """One opaque key per occupancy row. Big-endian bytes compare in the
+    lexicographic order of non-negative counts, so the keys sort and
+    search like the rows themselves, in O(rows x classes) memory."""
+    rows = np.ascontiguousarray(rows, dtype=">i8")
+    return rows.view(f"V{rows.shape[1] * rows.itemsize}").ravel()
+
+
 class StateSpace:
     """All feasible occupancy vectors, in lexicographic order.
 
-    ``states`` is an (S, K) int array; ``index_of`` maps an occupancy
-    vector back to its ordinal. The all-zero state is always index 0.
+    ``states`` is an (S, K) int array; ``indices_of`` and ``index_of``
+    map occupancy vectors back to their ordinals by binary search over
+    the sorted row keys. The all-zero state is always index 0.
     """
 
     def __init__(self, states: np.ndarray):
         self.states = np.asarray(states, dtype=np.int64)
-        self._index = {tuple(row): i for i, row in enumerate(self.states.tolist())}
+        keys = _row_keys(self.states)
+        self._order = np.argsort(keys, kind="stable")
+        self._sorted_keys = keys[self._order]
 
     def __len__(self) -> int:
         return self.states.shape[0]
@@ -185,12 +196,26 @@ class StateSpace:
     def __iter__(self) -> Iterable[tuple[int, ...]]:
         return (tuple(row) for row in self.states.tolist())
 
+    def indices_of(self, rows: np.ndarray) -> np.ndarray:
+        """Ordinal of every occupancy row in the (n, K) array ``rows``.
+
+        Raises ``KeyError`` naming the first row that is not a state of
+        this space.
+        """
+        keys = _row_keys(rows)
+        pos = np.searchsorted(self._sorted_keys, keys)
+        clipped = np.minimum(pos, len(self._sorted_keys) - 1)
+        missing = np.flatnonzero(self._sorted_keys[clipped] != keys)
+        if missing.size:
+            occ = tuple(int(n) for n in rows[missing[0]])
+            raise KeyError(f"state {occ} is not feasible for this space")
+        return self._order[pos]
+
     def index_of(self, state) -> int:
         occ = tuple(int(n) for n in _occupancy_vector(state))
-        try:
-            return self._index[occ]
-        except KeyError:
-            raise KeyError(f"state {occ} is not feasible for this space") from None
+        if len(occ) != self.states.shape[1] or not all(0 <= n < 2**63 for n in occ):
+            raise KeyError(f"state {occ} is not feasible for this space")
+        return int(self.indices_of(np.array([occ], dtype=np.int64))[0])
 
     def free_channels(self, cfg: SystemConfig) -> np.ndarray:
         """Free-channel count for every state, aligned with ``states``."""

@@ -1,7 +1,11 @@
 """Generators, steady-state solvers, oracles, and mode dispatch."""
 
+import dataclasses
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from caclab import (
     DegenerateChainError,
@@ -12,6 +16,7 @@ from caclab import (
     blocking_probabilities,
     build_generator,
     build_literal_1d_generator,
+    default_scenario,
     enumerate_states,
     erlang_b,
     kaufman_roberts,
@@ -19,7 +24,7 @@ from caclab import (
     solve,
     steady_state,
 )
-from caclab.analytic import RateMatrix, SteadyStateDistribution
+from caclab.analytic import RateMatrix, SteadyStateDistribution, _gth_stationary
 
 from test_model import make_config
 
@@ -40,6 +45,50 @@ def dense_direct_solve(q_dense):
     b = np.zeros(m)
     b[-1] = 1.0
     return np.linalg.solve(a, b)
+
+
+def reference_generator_entries(cfg, space):
+    """Generator entries by the per-state dict loop: each state's class-i
+    arrival then departure, in class order, then one diagonal per row
+    summed left to right over the row's entries."""
+    index = {tuple(row): i for i, row in enumerate(space.states.tolist())}
+    lam, mu, thresholds = cfg.arrival_rates, cfg.service_rates, cfg.thresholds
+    free = space.free_channels(cfg)
+    entries = {}
+    for s_idx, occ in enumerate(space.states.tolist()):
+        for i in range(cfg.num_classes):
+            if lam[i] > 0 and free[s_idx] >= thresholds[i]:
+                up = list(occ)
+                up[i] += 1
+                entries[(s_idx, index[tuple(up)])] = float(lam[i])
+            if occ[i] > 0:
+                down = list(occ)
+                down[i] -= 1
+                entries[(s_idx, index[tuple(down)])] = float(occ[i] * mu[i])
+    row_sums = np.zeros(len(space))
+    for (i, _), rate in entries.items():
+        row_sums[i] += rate
+    for i in range(len(space)):
+        if row_sums[i] > 0:
+            entries[(i, i)] = -row_sums[i]
+    return entries
+
+
+@st.composite
+def system_configs(draw):
+    """Valid configs with K = 1..4, zero arrival rates and thresholds up
+    to and including the capacity."""
+    capacity = draw(st.integers(1, 8))
+    classes = []
+    threshold = 1
+    for i in range(draw(st.integers(1, 4))):
+        bandwidth = draw(st.integers(1, capacity))
+        low = max(threshold, bandwidth)
+        threshold = draw(st.one_of(st.just(capacity), st.integers(low, capacity)))
+        arrival = draw(st.one_of(st.just(0.0), st.floats(0.01, 10.0)))
+        service = draw(st.floats(0.01, 10.0))
+        classes.append(TrafficClassSpec(f"c{i}", arrival, service, bandwidth, threshold))
+    return SystemConfig(capacity, tuple(classes))
 
 
 class TestBuildGenerator:
@@ -82,6 +131,24 @@ class TestBuildGenerator:
         q = build_generator(cfg, space).to_dense()
         for n in range(1, 4):
             assert q[space.index_of((n,)), space.index_of((n - 1,))] == 2.0 * n
+
+    @settings(max_examples=80, deadline=None)
+    @given(system_configs())
+    def test_matches_reference_dict_loop(self, cfg):
+        space = enumerate_states(cfg)
+        got = build_generator(cfg, space).entries
+        expected = reference_generator_entries(cfg, space)
+        assert list(got) == list(expected)
+        assert np.array(list(got.values())).tobytes() == (
+            np.array(list(expected.values())).tobytes()
+        )
+        for i, state in enumerate(space):
+            assert space.index_of(state) == i
+        too_many = list(space.states[0])
+        too_many[0] = cfg.capacity // cfg.classes[0].bandwidth + 1
+        for infeasible in (too_many, [-1] + too_many[1:], too_many + [0]):
+            with pytest.raises(KeyError, match="not feasible"):
+                space.index_of(infeasible)
 
 
 class TestLiteral1dGenerator:
@@ -201,6 +268,94 @@ class TestSteadyState:
     def test_distribution_validates_sum(self):
         with pytest.raises(ValueError, match="sum"):
             SteadyStateDistribution(np.array([0.5, 0.4]))
+
+
+def full_block_gth(off_diag):
+    """GTH with the rank-1 update over the whole leading block."""
+    a = np.array(off_diag, dtype=float)
+    m = a.shape[0]
+    for k in range(m - 1, 0, -1):
+        s = a[k, :k].sum()
+        a[:k, k] /= s
+        a[:k, :k] += np.outer(a[:k, k], a[k, :k])
+    pi = np.zeros(m)
+    pi[0] = 1.0
+    for k in range(1, m):
+        pi[k] = pi[:k] @ a[:k, k]
+    return pi / pi.sum()
+
+
+def banded_rates(rng, m, band):
+    """Random irreducible off-diagonal rates with bandwidth ``band``: a
+    birth-death backbone plus random entries inside the band."""
+    a = np.zeros((m, m))
+    idx = np.arange(m - 1)
+    a[idx, idx + 1] = rng.uniform(0.1, 3.0, m - 1)
+    a[idx + 1, idx] = rng.uniform(0.1, 3.0, m - 1)
+    near = np.abs(np.subtract.outer(np.arange(m), np.arange(m))) <= band
+    extra = near & (rng.random((m, m)) < 0.3)
+    a[extra] = rng.uniform(0.1, 3.0, int(extra.sum()))
+    np.fill_diagonal(a, 0.0)
+    return a
+
+
+def sha256_of(pi):
+    return hashlib.sha256(pi.tobytes()).hexdigest()
+
+
+class TestGth:
+    # Stationary vectors of the stock chain, pinned bit for bit to what
+    # elimination over the full dense block gives: any change to the
+    # order of GTH's float operations shows up here.
+    @pytest.mark.parametrize(
+        "lam, digest",
+        [
+            (0.2, "8ab2b926f0ff021502d4de396b51b9f809a7498fcf5f1843bb9671c04465f7fc"),
+            (4.0, "fad1d2800e4811e96d3616562c00542f45ce0b82a421a2921a6aea6213fcbb9f"),
+        ],
+    )
+    def test_golden_stock_chain(self, lam, digest):
+        cfg = default_scenario().with_arrival_rate(0, lam)
+        space = enumerate_states(cfg)
+        assert len(space) == 358
+        pi = steady_state(build_generator(cfg, space))
+        assert sha256_of(pi.probabilities) == digest
+
+    def test_golden_capacity_40_stock_chain(self):
+        cfg = dataclasses.replace(default_scenario(), capacity=40)
+        space = enumerate_states(cfg)
+        assert len(space) == 2282
+        pi = steady_state(build_generator(cfg, space))
+        assert sha256_of(pi.probabilities) == (
+            "4fdb3b9a4168ea0ceb285720e3642bef70d9124f06dfefdd13a638ead91eb5ae"
+        )
+
+    def test_matches_full_block_reference_bit_for_bit(self):
+        # Neither input is banded: the envelope of a permuted banded
+        # chain has zeros scattered inside it, and a dense chain has a
+        # full envelope.
+        rng = np.random.default_rng(11)
+        cases = []
+        for m in (2, 3, 17, 60):
+            perm = rng.permutation(m)
+            cases.append(banded_rates(rng, m, band=3)[np.ix_(perm, perm)])
+            dense = rng.uniform(0.1, 3.0, (m, m))
+            np.fill_diagonal(dense, 0.0)
+            cases.append(dense)
+        for rates in cases:
+            expected = full_block_gth(rates)
+            got = _gth_stationary(rates.copy())
+            assert got.tobytes() == expected.tobytes()
+
+    def test_eliminates_in_place(self):
+        rates = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [4.0, 1.0, 0.0]])
+        _gth_stationary(rates)
+        # Folding state 2 divides its column by its exit rate 4 + 1.
+        assert rates[1, 2] == 1.0 / 5.0
+
+    def test_absorbing_state_is_degenerate(self):
+        with pytest.raises(DegenerateChainError, match="irreducible"):
+            _gth_stationary(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 class TestBlockingProbabilities:
