@@ -19,7 +19,7 @@ from scipy.special import stdtrit
 
 from .errors import ConfigError, SimulationError
 from .model import SystemConfig, validate_config
-from .traffic import ArrivalTrace, DistributionSpec, sample_distribution
+from .traffic import ArrivalTrace, DistributionSpec, scalar_sampler
 
 _CHUNK = 1 << 16
 _MASK64 = (1 << 64) - 1
@@ -275,60 +275,55 @@ def _trace_replication(
     rng: np.random.Generator,
 ) -> ReplicationResult:
     capacity = cfg.capacity
-    band = cfg.bandwidths
-    thresh = cfg.thresholds
+    band = cfg.bandwidths.tolist()
+    thresh = cfg.thresholds.tolist()
+    draw_holding = [scalar_sampler(spec) for spec in holding]
     K = cfg.num_classes
-    n = np.zeros(K, dtype=np.int64)
-    offered = np.zeros(K, dtype=np.int64)
-    blocked = np.zeros(K, dtype=np.int64)
-    occ_time = np.zeros(capacity + 1)
+    offered = [0] * K
+    blocked = [0] * K
+    occ_time = [0.0] * (capacity + 1)
     departures: list[tuple[float, int, int]] = []  # (time, seq, class)
     seq = 0
     occ = 0
     now = 0.0
-
-    def advance(to: float):
-        nonlocal now
-        lo = max(now, warmup)
-        hi = min(to, horizon)
-        if hi > lo:
-            occ_time[occ] += hi - lo
-        now = to
-
-    for t_arr, c in zip(trace.times.tolist(), trace.classes.tolist()):
-        if not 0 <= c < K:
-            raise ValueError(f"trace class index {c} out of range for {K} classes")
-        if t_arr >= horizon:
-            break
+    stop = int(np.searchsorted(trace.times, horizon))
+    for t_arr, c in zip(trace.times[:stop].tolist(), trace.classes[:stop].tolist()):
         # Departures scheduled at the same instant free channels first.
         while departures and departures[0][0] <= t_arr:
             t_dep, _, dc = heapq.heappop(departures)
-            advance(t_dep)
-            n[dc] -= 1
-            occ -= int(band[dc])
-        advance(t_arr)
+            lo = now if now > warmup else warmup
+            if t_dep > lo:
+                occ_time[occ] += t_dep - lo
+            now = t_dep
+            occ -= band[dc]
+        lo = now if now > warmup else warmup
+        if t_arr > lo:
+            occ_time[occ] += t_arr - lo
+        now = t_arr
         if t_arr >= warmup:
             offered[c] += 1
         if capacity - occ >= thresh[c]:
-            n[c] += 1
-            occ += int(band[c])
+            occ += band[c]
             if occ > capacity:
                 raise SimulationError("channel conservation violated")
-            hold = float(sample_distribution(holding[c], rng))
             seq += 1
-            heapq.heappush(departures, (t_arr + hold, seq, c))
+            heapq.heappush(departures, (t_arr + draw_holding[c](rng), seq, c))
         elif t_arr >= warmup:
             blocked[c] += 1
     while departures and departures[0][0] < horizon:
         t_dep, _, dc = heapq.heappop(departures)
-        advance(t_dep)
-        n[dc] -= 1
-        occ -= int(band[dc])
-    advance(horizon)
+        lo = now if now > warmup else warmup
+        if t_dep > lo:
+            occ_time[occ] += t_dep - lo
+        now = t_dep
+        occ -= band[dc]
+    lo = now if now > warmup else warmup
+    if horizon > lo:
+        occ_time[occ] += horizon - lo
     return ReplicationResult(
-        offered=offered,
-        blocked=blocked,
-        occupancy_time=occ_time,
+        offered=np.array(offered, dtype=np.int64),
+        blocked=np.array(blocked, dtype=np.int64),
+        occupancy_time=np.array(occ_time),
         measured_time=horizon - warmup,
     )
 
@@ -355,6 +350,12 @@ def run_trace_driven(
         )
     if trace.times.size and np.any(np.diff(trace.times) < 0):
         raise ValueError("trace times must be sorted")
+    out_of_range = trace.classes[(trace.classes < 0) | (trace.classes >= cfg.num_classes)]
+    if out_of_range.size:
+        raise ValueError(
+            f"trace class index {int(out_of_range[0])} out of range for "
+            f"{cfg.num_classes} classes"
+        )
     horizon = min(float(params.horizon), float(trace.horizon))
     warmup = min(params.effective_warmup, horizon)
     reps = []

@@ -13,11 +13,17 @@ identical (spec, horizon, seed) triples reproduce traces bit for bit.
 
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import Callable, Union
 
 import numpy as np
 
 _BISECT_TOL = 1e-12
+# Relative distance from the target within which a BiPareto ccdf
+# comparison is re-decided by the scalar ccdf (see _ccdf_above).
+_CLOSE_CALL = 1e-13
+# Largest block of interarrivals sample_renewal draws at once; larger
+# blocks only raise peak memory.
+_RENEWAL_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -136,12 +142,15 @@ class RateFunction:
         return cls(((0.0, float(rate)),))
 
     def value_at(self, t: float) -> float:
-        value = self.segments[0][1]
-        for start, rate in self.segments:
-            if t < start:
-                break
-            value = rate
-        return value
+        return float(self.values_at(np.array([t]))[0])
+
+    def values_at(self, times: np.ndarray) -> np.ndarray:
+        """Rates at ``times``: that of the last segment starting at or
+        before each time (the first segment's before time 0)."""
+        starts = np.array([s for s, _ in self.segments])
+        rates = np.array([r for _, r in self.segments])
+        index = np.searchsorted(starts, times, side="right") - 1
+        return rates[np.maximum(index, 0)]
 
     def pieces(self, horizon: float):
         """Yield (start, end, rate) pieces covering [0, horizon)."""
@@ -232,6 +241,35 @@ class ArrivalTrace:
         return int(self.times.size)
 
 
+def scalar_sampler(spec: DistributionSpec) -> Callable[[np.random.Generator], float]:
+    """A callable drawing one value of ``spec`` from a generator.
+
+    It consumes the same draws as ``sample_distribution(spec, rng,
+    size=1)`` and returns its element bit for bit, without building
+    arrays: it applies the same numpy ufuncs to one draw, because
+    numpy's pow and Python's float ``**`` can differ in the last bit.
+    """
+    if isinstance(spec, Constant):
+        value = float(spec.value)
+        return lambda rng: value
+    if isinstance(spec, Exponential):
+        rate = spec.rate
+        return lambda rng: float(-np.log1p(-rng.random()) / rate)
+    if isinstance(spec, Lognormal):
+        log_mean, log_stdev = spec.log_mean, spec.log_stdev
+        return lambda rng: float(np.exp(log_mean + log_stdev * rng.standard_normal()))
+    if isinstance(spec, Weibull):
+        scale, exponent = spec.scale, 1.0 / spec.shape
+        # ``**`` on a 0-d array picks the ufunc the array path picks
+        # (numpy turns some exponents, such as 0.5, into sqrt).
+        return lambda rng: float(
+            scale * np.asarray(-np.log1p(-rng.random())) ** exponent
+        )
+    if isinstance(spec, BiPareto):
+        return lambda rng: float(_bipareto_inverse(spec, rng.random()))
+    raise TypeError(f"unknown distribution spec {type(spec).__name__}")
+
+
 def sample_distribution(
     spec: DistributionSpec, rng: np.random.Generator, size: int | None = None
 ):
@@ -239,28 +277,31 @@ def sample_distribution(
 
     Everything is inverse-transform sampled from uniforms (the
     lognormal goes through a normal draw), so a seeded generator
-    reproduces values exactly.
+    reproduces values exactly. n scalar draws equal one draw of size n,
+    and leave the generator in the same state.
     """
-    n = 1 if size is None else int(size)
-    if isinstance(spec, Constant):
-        out = np.full(n, spec.value)
-    elif isinstance(spec, Exponential):
-        out = -np.log1p(-rng.random(n)) / spec.rate
-    elif isinstance(spec, Lognormal):
-        out = np.exp(spec.log_mean + spec.log_stdev * rng.standard_normal(n))
-    elif isinstance(spec, Weibull):
-        out = spec.scale * (-np.log1p(-rng.random(n))) ** (1.0 / spec.shape)
-    elif isinstance(spec, BiPareto):
-        out = np.array([_bipareto_inverse(spec, u) for u in rng.random(n)])
-    else:
-        raise TypeError(f"unknown distribution spec {type(spec).__name__}")
     if size is None:
-        return float(out[0])
-    return out
+        return scalar_sampler(spec)(rng)
+    n = int(size)
+    if isinstance(spec, Constant):
+        return np.full(n, float(spec.value))
+    if isinstance(spec, Exponential):
+        return -np.log1p(-rng.random(n)) / spec.rate
+    if isinstance(spec, Lognormal):
+        return np.exp(spec.log_mean + spec.log_stdev * rng.standard_normal(n))
+    if isinstance(spec, Weibull):
+        return spec.scale * (-np.log1p(-rng.random(n))) ** (1.0 / spec.shape)
+    if isinstance(spec, BiPareto):
+        return _bipareto_inverse_array(spec, rng.random(n))
+    raise TypeError(f"unknown distribution spec {type(spec).__name__}")
 
 
 def _bipareto_inverse(spec: BiPareto, u: float) -> float:
-    """Solve ccdf(x) = 1 - u by bracketing doubling plus bisection."""
+    """Solve ccdf(x) = 1 - u by bracketing doubling plus bisection.
+
+    The scalar reference: :func:`_bipareto_inverse_array` takes the same
+    steps for many u at once and must return the same bits.
+    """
     target = 1.0 - u
     if target >= 1.0:
         return spec.minimum
@@ -275,6 +316,63 @@ def _bipareto_inverse(spec: BiPareto, u: float) -> float:
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def _bipareto_inverse_array(spec: BiPareto, u: np.ndarray) -> np.ndarray:
+    """:func:`_bipareto_inverse` element-wise, bit for bit.
+
+    Each element keeps its own bracket and takes the same doubling and
+    bisection steps, with the same midpoints and the same stop test;
+    the loops run until no element is left active.
+    """
+    target = 1.0 - u
+    out = np.full(target.shape, float(spec.minimum))
+    solve = np.flatnonzero(target < 1.0)
+    target = target[solve]
+    lo = np.full(solve.size, float(spec.minimum))
+    hi = np.full(
+        solve.size, float(max(2.0 * spec.minimum, spec.minimum + spec.breakpoint))
+    )
+    active = np.arange(solve.size)
+    while active.size:
+        active = active[_ccdf_above(spec, hi[active], target[active])]
+        hi[active] *= 2.0
+    active = np.arange(solve.size)
+    while True:
+        width = hi[active] - lo[active]
+        active = active[width > _BISECT_TOL * np.maximum(1.0, hi[active])]
+        if not active.size:
+            break
+        mid = 0.5 * (lo[active] + hi[active])
+        above = _ccdf_above(spec, mid, target[active])
+        lo[active[above]] = mid[above]
+        hi[active[~above]] = mid[~above]
+    out[solve] = 0.5 * (lo + hi)
+    return out
+
+
+def _ccdf_above(spec: BiPareto, x: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """``spec.ccdf(x) > target`` element-wise, as the scalar ccdf decides.
+
+    numpy's pow can differ from Python's float ``**`` by an ulp, so a
+    comparison whose array ccdf lies within ``_CLOSE_CALL`` (relative)
+    of the target is decided again with the scalar ``spec.ccdf``; every
+    other one agrees with it while pow errs by less than that. So is one
+    whose array ccdf is not finite: where numpy's pow overflows, Python's
+    raises ``OverflowError``, and so must this.
+    """
+    k, c = spec.minimum, spec.breakpoint
+    with np.errstate(over="ignore", invalid="ignore"):
+        ccdf = np.where(
+            x <= k,
+            1.0,
+            (x / k) ** (-spec.alpha) * ((x + c) / (k + c)) ** (spec.alpha - spec.beta),
+        )
+    above = ccdf > target
+    recheck = ~np.isfinite(ccdf) | (np.abs(ccdf - target) <= _CLOSE_CALL * target)
+    for i in np.flatnonzero(recheck).tolist():
+        above[i] = spec.ccdf(float(x[i])) > target[i]
+    return above
 
 
 def sample_poisson_process(
@@ -295,9 +393,7 @@ def sample_poisson_process(
             continue
         count = rng.poisson(seg_rate * (end - start))
         candidates = np.sort(rng.uniform(start, end, size=count))
-        keep = rng.random(count) * seg_rate < np.array(
-            [rate.value_at(t) for t in candidates]
-        )
+        keep = rng.random(count) * seg_rate < rate.values_at(candidates)
         pieces.append(candidates[keep])
     if not pieces:
         return np.empty(0)
@@ -337,15 +433,35 @@ def sample_mmpp(
 def sample_renewal(
     interarrival: DistributionSpec, horizon: float, rng: np.random.Generator
 ) -> np.ndarray:
-    """Event times of a renewal process with the given interarrival law."""
+    """Event times of a renewal process with the given interarrival law.
+
+    Interarrivals are drawn in blocks, doubling from 256 up to
+    ``_RENEWAL_BLOCK``, and summed by ``np.cumsum``, which adds in
+    sequence as ``t += x`` does.
+    The block that reaches the horizon is drawn again from the saved
+    generator state, only up to its first time at or past the horizon.
+    So the times and the generator's final state are those of drawing
+    one interarrival at a time until the horizon.
+    """
     if horizon <= 0:
         raise ValueError(f"horizon must be > 0, got {horizon}")
-    times = []
-    t = float(sample_distribution(interarrival, rng))
-    while t < horizon:
-        times.append(t)
-        t += float(sample_distribution(interarrival, rng))
-    return np.array(times)
+    pieces: list[np.ndarray] = []
+    t = 0.0
+    size = 256
+    while True:
+        state = rng.bit_generator.state
+        times = sample_distribution(interarrival, rng, size=size)
+        times[0] += t
+        np.cumsum(times, out=times)
+        stop = int(np.searchsorted(times, horizon))
+        if stop < size:
+            rng.bit_generator.state = state
+            sample_distribution(interarrival, rng, size=stop + 1)
+            pieces.append(times[:stop])
+            return np.concatenate(pieces)
+        pieces.append(times)
+        t = float(times[-1])
+        size = min(2 * size, _RENEWAL_BLOCK)
 
 
 def sample_process(
@@ -379,7 +495,7 @@ def compose_traffic(
         events = sample_process(comp.process, horizon, rng)
         u = rng.random(events.size)
         if isinstance(comp.weight, RateFunction):
-            weights = np.array([comp.weight.value_at(t) for t in events])
+            weights = comp.weight.values_at(events)
         else:
             weights = np.full(events.size, float(comp.weight))
         kept = events[u < weights]

@@ -1,6 +1,7 @@
 """Scenario parsing and the command-line surface: exit codes, file
 formats, and byte-level determinism."""
 
+import hashlib
 import json
 
 import pytest
@@ -39,6 +40,45 @@ SINGLE_CLASS = {
         "classes": [{"name": "only", "arrival_rate": 1.0, "service_rate": 1.0}],
     },
     "sim": {"horizon": 2000.0, "replications": 2, "seed": 7},
+}
+
+# demos/scenarios/trace_driven.json cut to horizon 2e3: Poisson, MMPP and
+# BiPareto-renewal traffic, exponential, lognormal and Weibull holding.
+TRACE_DRIVEN = {
+    "system": {
+        "capacity": 20,
+        "classes": [
+            {"name": "voice", "arrival_rate": 1.0, "service_rate": 1.0,
+             "bandwidth": 1, "admission_threshold": 1},
+            {"name": "web", "arrival_rate": 1.0, "service_rate": 1.0,
+             "bandwidth": 2, "admission_threshold": 3},
+            {"name": "file", "arrival_rate": 1.0, "service_rate": 1.0,
+             "bandwidth": 3, "admission_threshold": 5},
+        ],
+    },
+    "sim": {
+        "horizon": 2000.0, "warmup": 200.0, "replications": 5, "seed": 314159,
+        "service_model": "trace_driven",
+        "holding": [
+            {"kind": "exponential", "rate": 1.0},
+            {"kind": "lognormal", "log_mean": -0.5, "log_stdev": 1.0},
+            {"kind": "weibull", "shape": 0.8, "scale": 1.0},
+        ],
+    },
+    "traffic": {
+        "components": [
+            {"weight": 0.5, "class": 1, "process": {
+                "kind": "poisson",
+                "segments": [[0.0, 1.0], [5000.0, 4.0], [15000.0, 1.5]]}},
+            {"weight": 0.3, "class": 2, "process": {
+                "kind": "mmpp", "rate_state1": 0.8, "rate_state2": 6.0,
+                "switch_12": 0.01, "switch_21": 0.03}},
+            {"weight": 0.2, "class": 3, "process": {
+                "kind": "renewal", "interarrival": {
+                    "kind": "bipareto", "alpha": 0.9, "beta": 1.8,
+                    "breakpoint": 2.0, "minimum": 0.05}}},
+        ]
+    },
 }
 
 
@@ -311,6 +351,27 @@ class TestTraceCommand:
         code = main(["trace", "--config", write_scenario(tmp_path, SINGLE_CLASS),
                      "--horizon", "10"])
         assert code == 2
+
+
+class TestTraceDrivenGolden:
+    """sha256 of the trace-driven outputs, recorded when renewals were
+    sampled one interarrival at a time and replays drew holding times
+    through one-element arrays; the block sampler and the list-based
+    replay must reproduce them bit for bit."""
+
+    @pytest.mark.parametrize(
+        "command, digest",
+        [
+            ("simulate", "19a410397504cf6e571a37cc0cfdc5c7e18cbcef8bbde639ce597d8c97975fed"),
+            ("trace", "ebefd9c5c7b09beb05769c958556b33458daad295f4a5ea76e90bf716c42cf9d"),
+        ],
+    )
+    def test_output_digest(self, tmp_path, command, digest):
+        out = tmp_path / "out"
+        code = main([command, "--config", write_scenario(tmp_path, TRACE_DRIVEN),
+                     "--out", str(out)])
+        assert code == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 class TestDeterminism:

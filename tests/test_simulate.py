@@ -9,6 +9,7 @@ import pytest
 from caclab import (
     ArrivalTrace,
     ConfigError,
+    Constant,
     Exponential,
     MixtureComponent,
     RateFunction,
@@ -172,6 +173,30 @@ class TestTraceDriven:
                 (Exponential(1.0),),
                 SimParams(horizon=50.0, warmup=0.0, seed=1),
             )
+
+    def test_class_out_of_range_after_horizon(self):
+        # Labels are checked once for the whole trace, before any replay.
+        cfg = single_class(2, 1.0)
+        with pytest.raises(ValueError, match="index -1 out of range for 1 classes"):
+            run_trace_driven(
+                cfg,
+                self.make_trace([1.0, 60.0, 70.0], [0, 0, -1], 100.0),
+                (Exponential(1.0),),
+                SimParams(horizon=50.0, warmup=0.0, seed=1),
+            )
+
+    def test_departure_at_arrival_instant_frees_channel_first(self):
+        cfg = single_class(1, 1.0)
+        stats = run_trace_driven(
+            cfg,
+            self.make_trace([1.0, 2.0], [0, 0], 10.0),
+            (Constant(1.0),),
+            SimParams(horizon=10.0, warmup=0.0, seed=1),
+        )
+        assert stats.offered[0] == 2
+        assert stats.blocked[0] == 0
+        expected = np.array([10.0 - 2.0, 2.0]) / 10.0
+        np.testing.assert_allclose(stats.occupancy_histogram, expected, rtol=1e-12)
 
     def test_holding_length_mismatch(self):
         cfg = single_class(2, 1.0)
