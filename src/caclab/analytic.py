@@ -18,6 +18,8 @@ Five computation modes produce a :class:`BlockingReport`:
 """
 
 from dataclasses import dataclass
+from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 import scipy.sparse as sp
@@ -28,71 +30,93 @@ from .model import StateSpace, SystemConfig, enumerate_states, validate_config
 
 MODES = ("ctmc", "literal1d", "recurrence", "kaufman_roberts", "erlang_b")
 
-DEFAULT_DENSE_CEILING = 50_000
-ROW_SUM_TOL = 1e-12
 RESIDUAL_TOL = 1e-9
+DENSE_CEILING = 50_000
+SWEEP_TOL = 1e-12
+MAX_SWEEPS = 1_000_000
 
 
 class RateMatrix:
     """Sparse CTMC generator with the conservation invariant built in.
 
-    Constructed from off-diagonal entries only; each diagonal entry is
-    set to the negative sum of its row so that every row sums to zero
-    exactly. Off-diagonal rates must be non-negative.
+    Built from off-diagonal cells ``(rows[k], cols[k])`` with
+    non-negative ``rates[k]``. Zero rates are dropped; a cell listed
+    more than once keeps its first position and the sum of its rates,
+    added in listing order. Each row's diagonal is then appended, in
+    ascending row order, as the negative sum of the row's rates, so
+    every row sums to zero exactly. ``rows``, ``cols`` and ``rates``
+    hold the result as read-only COO arrays in that order.
     """
 
-    def __init__(self, dimension: int, off_diagonal: dict[tuple[int, int], float]):
+    def __init__(self, dimension: int, rows, cols, rates):
         self.dimension = int(dimension)
-        count = len(off_diagonal)
-        cells = np.array(list(off_diagonal), dtype=np.int64).reshape(count, 2)
-        rates = np.fromiter(off_diagonal.values(), dtype=float, count=count)
-        if np.any(cells[:, 0] == cells[:, 1]):
-            raise ValueError("off-diagonal map must not contain diagonal entries")
-        outside = np.flatnonzero(np.any((cells < 0) | (cells >= self.dimension), axis=1))
+        rows = np.asarray(rows, dtype=np.int64)
+        cols = np.asarray(cols, dtype=np.int64)
+        rates = np.asarray(rates, dtype=float)
+        if not (rows.ndim == 1 and rows.shape == cols.shape == rates.shape):
+            raise ValueError("rows, cols and rates must be 1-D arrays of one length")
+        if np.any(rows == cols):
+            raise ValueError("off-diagonal entries must not include the diagonal")
+        outside = np.flatnonzero(
+            (rows < 0) | (rows >= self.dimension) | (cols < 0) | (cols >= self.dimension)
+        )
         if outside.size:
-            i, j = cells[outside[0]]
-            raise ValueError(f"entry ({i}, {j}) outside dimension {self.dimension}")
+            k = outside[0]
+            raise ValueError(
+                f"entry ({rows[k]}, {cols[k]}) outside dimension {self.dimension}"
+            )
         negative = np.flatnonzero(rates < 0)
         if negative.size:
-            i, j = cells[negative[0]]
-            raise ValueError(f"negative rate {rates[negative[0]]} at ({i}, {j})")
+            k = negative[0]
+            raise ValueError(f"negative rate {rates[k]} at ({rows[k]}, {cols[k]})")
         kept = rates > 0
-        rows, cols, rates = cells[kept, 0], cells[kept, 1], rates[kept]
-        # ufunc.at adds in entry order, so each row sum is accumulated
-        # exactly as a left-to-right loop over the row's entries would.
+        rows, cols, rates = rows[kept], cols[kept], rates[kept]
+        _, first, cell = np.unique(
+            rows * self.dimension + cols, return_index=True, return_inverse=True
+        )
+        # ufunc.at adds in entry order, so a repeated cell's rates and,
+        # below, each row's rates are summed as a left-to-right loop would.
+        sums = np.zeros(first.size)
+        np.add.at(sums, cell, rates)
+        order = np.argsort(first)
+        rows, cols, rates = rows[first[order]], cols[first[order]], sums[order]
         row_sums = np.zeros(self.dimension)
         np.add.at(row_sums, rows, rates)
         diag = np.flatnonzero(row_sums > 0)
-        entries = dict(zip(zip(rows.tolist(), cols.tolist()), rates.tolist()))
-        entries.update(zip(zip(diag.tolist(), diag.tolist()), (-row_sums[diag]).tolist()))
-        self.entries = entries
+        self.rows = np.concatenate([rows, diag])
+        self.cols = np.concatenate([cols, diag])
+        self.rates = np.concatenate([rates, -row_sums[diag]])
+        for a in (self.rows, self.cols, self.rates):
+            a.setflags(write=False)
+
+    @cached_property
+    def entries(self) -> MappingProxyType:
+        """Read-only ``{(row, col): rate}`` view in storage order."""
+        cells = zip(self.rows.tolist(), self.cols.tolist())
+        return MappingProxyType(dict(zip(cells, self.rates.tolist())))
 
     def to_dense(self) -> np.ndarray:
         q = np.zeros((self.dimension, self.dimension))
-        for (i, j), rate in self.entries.items():
-            q[i, j] = rate
+        q[self.rows, self.cols] = self.rates
         return q
 
     def to_csr(self) -> sp.csr_matrix:
-        count = len(self.entries)
-        cells = np.array(list(self.entries), dtype=np.int64).reshape(count, 2)
-        vals = np.fromiter(self.entries.values(), dtype=float, count=count)
         return sp.csr_matrix(
-            (vals, (cells[:, 0], cells[:, 1])), shape=(self.dimension, self.dimension)
+            (self.rates, (self.rows, self.cols)), shape=(self.dimension, self.dimension)
         )
 
     def row_sums(self) -> np.ndarray:
         sums = np.zeros(self.dimension)
-        for (i, _), rate in self.entries.items():
-            sums[i] += rate
+        np.add.at(sums, self.rows, self.rates)
         return sums
 
 
 @dataclass(frozen=True)
 class SteadyStateDistribution:
     """Stationary probabilities aligned with a state space (or 0..N for
-    the 1-D modes). ``residual`` is max |pi Q| from the solve that
-    produced it, NaN when no chain was solved."""
+    the 1-D modes): finite, non-negative and summing to 1 within 1e-10.
+    ``residual`` is max |pi Q| from the solve that produced it, NaN when
+    no chain was solved."""
 
     probabilities: np.ndarray
     residual: float = float("nan")
@@ -100,15 +124,13 @@ class SteadyStateDistribution:
     def __post_init__(self):
         p = np.asarray(self.probabilities, dtype=float)
         object.__setattr__(self, "probabilities", p)
-        if np.any(p < -1e-12):
+        if not np.all(np.isfinite(p)):
+            raise ValueError("stationary probabilities must be finite")
+        if np.any(p < 0.0):
             raise ValueError("stationary probabilities must be non-negative")
-        if abs(p.sum() - 1.0) > 1e-10:
-            raise ValueError(f"stationary probabilities sum to {p.sum()!r}, not 1")
-
-    @property
-    def p0(self) -> float:
-        """Probability of the empty system."""
-        return float(self.probabilities[0])
+        total = float(p.sum())
+        if not abs(total - 1.0) <= 1e-10:
+            raise ValueError(f"stationary probabilities sum to {total!r}, not 1")
 
     def __len__(self) -> int:
         return self.probabilities.shape[0]
@@ -172,13 +194,7 @@ def build_generator(cfg: SystemConfig, space: StateSpace) -> RateMatrix:
             targets[present, slot] = space.indices_of(moved)
             rates[:, slot] = rate
     rows, slots = np.nonzero(targets >= 0)
-    off = dict(
-        zip(
-            zip(rows.tolist(), targets[rows, slots].tolist()),
-            rates[rows, slots].tolist(),
-        )
-    )
-    return RateMatrix(len(space), off)
+    return RateMatrix(len(space), rows, targets[rows, slots], rates[rows, slots])
 
 
 def build_literal_1d_generator(cfg: SystemConfig) -> RateMatrix:
@@ -202,20 +218,21 @@ def build_literal_1d_generator(cfg: SystemConfig) -> RateMatrix:
     bands = cfg.bandwidths
     thresholds = cfg.thresholds
     capacity = cfg.capacity
-    off: dict[tuple[int, int], float] = {}
-
-    def add(row: int, col: int, rate: float):
-        # Classes with equal bandwidths land on the same cell; rates add.
-        off[(row, col)] = off.get((row, col), 0.0) + rate
-
-    for n in range(capacity + 1):
-        free = capacity - n
-        for i in range(3):
-            if lam[i] > 0 and free >= thresholds[i]:
-                add(n, n + int(bands[i]), lam[i])
-            if n >= bands[i] and mu[i] > 0:
-                add(n, n - int(bands[i]), mu[i])
-    return RateMatrix(capacity + 1, off)
+    level = np.arange(capacity + 1)
+    # Slots as in build_generator: 2i is level n's class-i arrival, 2i + 1
+    # its class-i departure. Classes with equal bandwidths land on the
+    # same cell, where RateMatrix adds their rates in this slot order.
+    targets = np.full((capacity + 1, 6), -1, dtype=np.int64)
+    rates = np.zeros(targets.shape)
+    for i in range(3):
+        for slot, step, present, rate in (
+            (2 * i, 1, (capacity - level >= thresholds[i]) & (lam[i] > 0), lam[i]),
+            (2 * i + 1, -1, (level >= bands[i]) & (mu[i] > 0), mu[i]),
+        ):
+            targets[present, slot] = level[present] + step * bands[i]
+            rates[:, slot] = rate
+    rows, slots = np.nonzero(targets >= 0)
+    return RateMatrix(capacity + 1, rows, targets[rows, slots], rates[rows, slots])
 
 
 def _gth_stationary(a: np.ndarray) -> np.ndarray:
@@ -259,10 +276,9 @@ def _gth_stationary(a: np.ndarray) -> np.ndarray:
     return pi / pi.sum()
 
 
-def _power_sweep_stationary(
-    q_csr: sp.csr_matrix, tol: float, max_sweeps: int
-) -> np.ndarray:
-    """Uniformized fixed-point sweep for chains past the dense ceiling."""
+def _power_sweep_stationary(q_csr: sp.csr_matrix) -> np.ndarray:
+    """Uniformized fixed-point sweep for supports past ``DENSE_CEILING``;
+    stops once a sweep moves pi by at most ``SWEEP_TOL`` in l1 norm."""
     m = q_csr.shape[0]
     diag = -q_csr.diagonal()
     rate = float(diag.max())
@@ -272,16 +288,16 @@ def _power_sweep_stationary(
     rate *= 1.01
     kernel = sp.identity(m, format="csr") + q_csr.multiply(1.0 / rate)
     pi = np.full(m, 1.0 / m)
-    for _ in range(max_sweeps):
+    for _ in range(MAX_SWEEPS):
         nxt = pi @ kernel
         nxt = np.asarray(nxt).ravel()
         nxt /= nxt.sum()
         change = np.abs(nxt - pi).sum()
         pi = nxt
-        if change <= tol:
+        if change <= SWEEP_TOL:
             return pi
     raise ConvergenceError(
-        f"fixed-point sweep did not reach {tol} within {max_sweeps} iterations"
+        f"fixed-point sweep did not reach {SWEEP_TOL} within {MAX_SWEEPS} iterations"
     )
 
 
@@ -312,18 +328,14 @@ def _closed_reachable_subset(q_csr: sp.csr_matrix) -> np.ndarray:
     return reachable[labels == closed[0]]
 
 
-def steady_state(
-    q: RateMatrix,
-    dense_ceiling: int = DEFAULT_DENSE_CEILING,
-    sweep_tol: float = 1e-12,
-    max_sweeps: int = 1_000_000,
-) -> SteadyStateDistribution:
+def steady_state(q: RateMatrix) -> SteadyStateDistribution:
     """Stationary distribution of ``q`` restricted to the closed class
     reachable from the empty state; zero elsewhere.
 
-    Uses GTH elimination up to ``dense_ceiling`` states and the
-    uniformized fixed-point sweep beyond it. The result is checked to
-    satisfy max |pi Q| <= 1e-9.
+    Uses GTH elimination on supports of up to ``DENSE_CEILING`` states
+    and the uniformized fixed-point sweep beyond it. The result is
+    checked to satisfy max |pi Q| <= 1e-9; a non-finite residual (an
+    overflowed solve) fails that check too.
     """
     dim = q.dimension
     if dim == 1:
@@ -339,15 +351,17 @@ def steady_state(
         pi[support[0]] = 1.0
     else:
         sub = csr[support][:, support]
-        if support.shape[0] <= dense_ceiling:
+        if support.shape[0] <= DENSE_CEILING:
             dense = sub.toarray()
             np.fill_diagonal(dense, 0.0)
             pi[support] = _gth_stationary(dense)
         else:
-            pi[support] = _power_sweep_stationary(sub, sweep_tol, max_sweeps)
+            pi[support] = _power_sweep_stationary(sub)
     residual = float(np.abs(pi @ csr).max())
-    if residual > RESIDUAL_TOL:
-        raise ConvergenceError(f"steady-state residual {residual:.3e} exceeds 1e-9")
+    if not residual <= RESIDUAL_TOL:
+        raise ConvergenceError(
+            f"steady-state residual {residual:.3e} is not within 1e-9"
+        )
     return SteadyStateDistribution(pi, residual=residual)
 
 
@@ -475,7 +489,8 @@ def recurrence_blocking(
     top three normalized states (P_N, P_{N-1}, P_{N-2}); the overall
     figure (a/3)(P_N + P_{N-1} + P_{N-2}) can exceed 1 for large loads
     and is reported raw with ``validity_flag`` cleared rather than
-    clamped.
+    clamped. A sequence that overflows double precision raises
+    :class:`ModePreconditionError`.
 
     ``equal_rate``: None auto-detects; True insists (error on unequal
     rates); False forces the general form.
@@ -510,7 +525,13 @@ def recurrence_blocking(
             ) / mu_total
         detail = "general"
     unnormalized = padded[2:]
-    normalized = unnormalized / unnormalized.sum()
+    total = unnormalized.sum()
+    if not np.isfinite(total):
+        raise ModePreconditionError(
+            f"recurrence overflows double precision by capacity {capacity}; "
+            "reduce the load or the capacity"
+        )
+    normalized = unnormalized / total
     top = [normalized[capacity - k] if capacity - k >= 0 else 0.0 for k in range(3)]
     per_class = np.array(top)
     overall = float(load_ratio / 3.0 * per_class.sum())
@@ -529,27 +550,18 @@ def recurrence_blocking(
     return result, report
 
 
-def solve(
-    cfg: SystemConfig,
-    mode: str,
-    equal_rate: bool | None = None,
-    dense_ceiling: int = DEFAULT_DENSE_CEILING,
-    max_states: int | None = None,
-) -> BlockingReport:
+def solve(cfg: SystemConfig, mode: str) -> BlockingReport:
     """Blocking report for ``cfg`` under the given computation mode."""
     validate_config(cfg)
     if mode == "ctmc":
-        kwargs = {} if max_states is None else {"max_states": max_states}
-        space = enumerate_states(cfg, **kwargs)
-        q = build_generator(cfg, space)
-        pi = steady_state(q, dense_ceiling=dense_ceiling)
+        space = enumerate_states(cfg)
+        pi = steady_state(build_generator(cfg, space))
         return blocking_probabilities(pi, cfg, space)
     if mode == "literal1d":
-        q = build_literal_1d_generator(cfg)
-        pi = steady_state(q, dense_ceiling=dense_ceiling)
+        pi = steady_state(build_literal_1d_generator(cfg))
         return _blocking_from_occupancy_1d(pi, cfg, "literal1d")
     if mode == "recurrence":
-        _, report = recurrence_blocking(cfg, equal_rate=equal_rate)
+        _, report = recurrence_blocking(cfg)
         return report
     if mode == "kaufman_roberts":
         loads = [

@@ -4,7 +4,9 @@ Subcommands: validate | solve | simulate | sweep | compare | trace.
 All outputs are deterministic given identical inputs, flags and seeds.
 
 Exit codes: 0 success, 1 comparison failure, 2 invalid configuration,
-3 unparseable scenario document, 4 mode precondition failure,
+3 unparseable scenario document, 4 the mode cannot solve the
+configuration (a mode precondition fails, the state space exceeds the
+enumeration limit, or the chain has no finite stationary solution),
 5 output I/O failure.
 """
 
@@ -22,8 +24,11 @@ from .analytic import recurrence_blocking, solve
 from .errors import (
     CaclabError,
     ConfigError,
+    ConvergenceError,
+    DegenerateChainError,
     ModePreconditionError,
     ScenarioError,
+    StateSpaceLimitError,
 )
 from .model import SystemConfig, validate_config
 from .scenario import (
@@ -491,7 +496,8 @@ def main(argv=None) -> int:
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except ModePreconditionError as exc:
+    except (ModePreconditionError, StateSpaceLimitError, ConvergenceError,
+            DegenerateChainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MODE
     except ConfigError as exc:

@@ -89,19 +89,6 @@ class SystemConfig:
         return SystemConfig(self.capacity, tuple(classes), self.rat_labels)
 
 
-@dataclass(frozen=True)
-class SystemState:
-    """Per-class in-service call counts (n_1 ... n_K)."""
-
-    occupancy: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "occupancy", tuple(int(n) for n in self.occupancy))
-
-    def channels_used(self, cfg: SystemConfig) -> int:
-        return int(sum(n * b for n, b in zip(self.occupancy, cfg.bandwidths)))
-
-
 def validate_config(cfg: SystemConfig) -> SystemConfig:
     """Check every invariant and return the config unchanged if all hold.
 
@@ -144,20 +131,13 @@ def validate_config(cfg: SystemConfig) -> SystemConfig:
     return cfg
 
 
-def _occupancy_vector(state) -> Sequence[int]:
-    if isinstance(state, SystemState):
-        return state.occupancy
-    return state
-
-
-def free_channels(state, cfg: SystemConfig) -> int:
-    """Channels left unused in ``state``."""
-    occ = _occupancy_vector(state)
-    used = int(np.dot(np.asarray(occ, dtype=np.int64), cfg.bandwidths))
+def free_channels(state: Sequence[int], cfg: SystemConfig) -> int:
+    """Channels left unused in the occupancy vector ``state``."""
+    used = int(np.dot(np.asarray(state, dtype=np.int64), cfg.bandwidths))
     return cfg.capacity - used
 
 
-def admissible(state, class_index: int, cfg: SystemConfig) -> bool:
+def admissible(state: Sequence[int], class_index: int, cfg: SystemConfig) -> bool:
     """True iff a new class ``class_index`` call may be admitted in ``state``.
 
     Admission requires at least ``admission_threshold`` free channels;
@@ -211,8 +191,8 @@ class StateSpace:
             raise KeyError(f"state {occ} is not feasible for this space")
         return self._order[pos]
 
-    def index_of(self, state) -> int:
-        occ = tuple(int(n) for n in _occupancy_vector(state))
+    def index_of(self, state: Sequence[int]) -> int:
+        occ = tuple(int(n) for n in state)
         if len(occ) != self.states.shape[1] or not all(0 <= n < 2**63 for n in occ):
             raise KeyError(f"state {occ} is not feasible for this space")
         return int(self.indices_of(np.array([occ], dtype=np.int64))[0])

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from caclab import (
+    ConvergenceError,
     DegenerateChainError,
     ModePreconditionError,
     SystemConfig,
@@ -24,6 +25,7 @@ from caclab import (
     solve,
     steady_state,
 )
+from caclab import analytic
 from caclab.analytic import RateMatrix, SteadyStateDistribution, _gth_stationary
 
 from test_model import make_config
@@ -65,23 +67,56 @@ def reference_generator_entries(cfg, space):
                 down = list(occ)
                 down[i] -= 1
                 entries[(s_idx, index[tuple(down)])] = float(occ[i] * mu[i])
-    row_sums = np.zeros(len(space))
+    return with_reference_diagonal(entries, len(space))
+
+
+def reference_literal_1d_entries(cfg):
+    """Literal 1-D generator entries by the per-level dict loop: each
+    class's arrival then departure, in class order; classes with equal
+    bandwidths add into the cell where the first of them landed."""
+    lam, mu = cfg.arrival_rates, cfg.service_rates
+    bands, thresholds = cfg.bandwidths, cfg.thresholds
+    capacity = cfg.capacity
+    entries = {}
+    for n in range(capacity + 1):
+        for i in range(3):
+            if lam[i] > 0 and capacity - n >= thresholds[i]:
+                cell = (n, n + int(bands[i]))
+                entries[cell] = entries.get(cell, 0.0) + float(lam[i])
+            if n >= bands[i]:
+                cell = (n, n - int(bands[i]))
+                entries[cell] = entries.get(cell, 0.0) + float(mu[i])
+    return with_reference_diagonal(entries, capacity + 1)
+
+
+def with_reference_diagonal(entries, dimension):
+    """Append one diagonal per row, summed left to right over the row's
+    entries, in ascending row order."""
+    row_sums = np.zeros(dimension)
     for (i, _), rate in entries.items():
         row_sums[i] += rate
-    for i in range(len(space)):
+    for i in range(dimension):
         if row_sums[i] > 0:
             entries[(i, i)] = -row_sums[i]
     return entries
 
 
+def assert_same_entries(got, expected):
+    """Same cells in the same order with the same float bits."""
+    assert list(got) == list(expected)
+    assert np.array(list(got.values())).tobytes() == (
+        np.array(list(expected.values())).tobytes()
+    )
+
+
 @st.composite
-def system_configs(draw):
-    """Valid configs with K = 1..4, zero arrival rates and thresholds up
-    to and including the capacity."""
-    capacity = draw(st.integers(1, 8))
+def system_configs(draw, num_classes=st.integers(1, 4), capacities=st.integers(1, 8)):
+    """Valid configs, by default with K = 1..4, with zero arrival rates
+    and thresholds up to and including the capacity."""
+    capacity = draw(capacities)
     classes = []
     threshold = 1
-    for i in range(draw(st.integers(1, 4))):
+    for i in range(draw(num_classes)):
         bandwidth = draw(st.integers(1, capacity))
         low = max(threshold, bandwidth)
         threshold = draw(st.one_of(st.just(capacity), st.integers(low, capacity)))
@@ -137,11 +172,7 @@ class TestBuildGenerator:
     def test_matches_reference_dict_loop(self, cfg):
         space = enumerate_states(cfg)
         got = build_generator(cfg, space).entries
-        expected = reference_generator_entries(cfg, space)
-        assert list(got) == list(expected)
-        assert np.array(list(got.values())).tobytes() == (
-            np.array(list(expected.values())).tobytes()
-        )
+        assert_same_entries(got, reference_generator_entries(cfg, space))
         for i, state in enumerate(space):
             assert space.index_of(state) == i
         too_many = list(space.states[0])
@@ -198,10 +229,61 @@ class TestLiteral1dGenerator:
         assert q[0, 1] == 3.0  # three unit-bandwidth arrival streams add up
         assert q[1, 0] == 3.0
 
+    @settings(max_examples=80, deadline=None)
+    @given(system_configs(num_classes=st.just(3), capacities=st.integers(1, 12)))
+    def test_matches_reference_dict_loop(self, cfg):
+        got = build_literal_1d_generator(cfg).entries
+        assert_same_entries(got, reference_literal_1d_entries(cfg))
+
+
+class TestRateMatrix:
+    def test_diagonal_appended_after_entries(self):
+        q = RateMatrix(3, [2, 0, 1, 0], [0, 1, 2, 2], [0.5, 1.0, 2.0, 3.0])
+        assert list(q.entries.items()) == [
+            ((2, 0), 0.5), ((0, 1), 1.0), ((1, 2), 2.0), ((0, 2), 3.0),
+            ((0, 0), -4.0), ((1, 1), -2.0), ((2, 2), -0.5),
+        ]
+        np.testing.assert_array_equal(q.row_sums(), [0.0, 0.0, 0.0])
+        assert (q.to_csr().toarray() == q.to_dense()).all()
+
+    def test_repeated_cells_add_in_listing_order(self):
+        # (0.1 + 0.2) + 0.3 and 0.1 + (0.2 + 0.3) differ in the last bit.
+        q = RateMatrix(3, [0, 0, 0, 0, 1], [1, 2, 1, 1, 0], [0.1, 5.0, 0.2, 0.3, 1.0])
+        assert list(q.entries) == [(0, 1), (0, 2), (1, 0), (0, 0), (1, 1)]
+        assert q.entries[(0, 1)] == (0.1 + 0.2) + 0.3
+        assert q.entries[(0, 1)] != 0.1 + (0.2 + 0.3)
+        assert q.entries[(0, 0)] == -(((0.1 + 0.2) + 0.3) + 5.0)
+
+    def test_zero_rates_dropped(self):
+        q = RateMatrix(3, [0, 1, 2], [1, 0, 0], [0.0, 2.0, 0.0])
+        assert dict(q.entries) == {(1, 0): 2.0, (1, 1): -2.0}
+
+    @pytest.mark.parametrize(
+        "rows, cols, rates, match",
+        [
+            ([0, 1], [1, 1], [1.0, 1.0], "diagonal"),
+            ([0, 3], [1, 0], [1.0, 1.0], r"\(3, 0\) outside dimension 3"),
+            ([0, 1], [1, -1], [1.0, 1.0], r"\(1, -1\) outside"),
+            ([0, 1], [1, 0], [1.0, -0.5], r"negative rate -0.5 at \(1, 0\)"),
+            ([0, 1], [1], [1.0, 1.0], "one length"),
+        ],
+    )
+    def test_invalid_entries_rejected(self, rows, cols, rates, match):
+        with pytest.raises(ValueError, match=match):
+            RateMatrix(3, rows, cols, rates)
+
+    def test_read_only(self):
+        q = RateMatrix(2, [0, 1], [1, 0], [1.0, 2.0])
+        with pytest.raises(ValueError):
+            q.rates[0] = 5.0
+        with pytest.raises(TypeError):
+            q.entries[(0, 1)] = 5.0
+        assert q.entries is q.entries
+
 
 class TestSteadyState:
     def test_two_state_symmetric(self):
-        q = RateMatrix(2, {(0, 1): 1.0, (1, 0): 1.0})
+        q = RateMatrix(2, [0, 1], [1, 0], [1.0, 1.0])
         np.testing.assert_allclose(steady_state(q).probabilities, [0.5, 0.5])
 
     def test_mm11(self):
@@ -225,7 +307,7 @@ class TestSteadyState:
         assert abs(pi.probabilities.sum() - 1.0) <= 1e-10
 
     def test_all_zero_generator_flagged(self):
-        q = RateMatrix(3, {})
+        q = RateMatrix(3, [], [], [])
         with pytest.raises(DegenerateChainError, match="all-zero"):
             steady_state(q)
 
@@ -255,11 +337,12 @@ class TestSteadyState:
                 steady_state(q).probabilities, expected, atol=1e-10
             )
 
-    def test_iterative_path_matches_gth(self):
+    def test_iterative_path_matches_gth(self, monkeypatch):
         cfg = make_config(10, [1, 2, 4], bandwidths=[1, 2, 3], lam=1.5)
         q = build_generator(cfg, enumerate_states(cfg))
         exact = steady_state(q)
-        swept = steady_state(q, dense_ceiling=2)
+        monkeypatch.setattr(analytic, "DENSE_CEILING", 2)
+        swept = steady_state(q)
         np.testing.assert_allclose(
             swept.probabilities, exact.probabilities, atol=1e-10
         )
@@ -268,6 +351,32 @@ class TestSteadyState:
     def test_distribution_validates_sum(self):
         with pytest.raises(ValueError, match="sum"):
             SteadyStateDistribution(np.array([0.5, 0.4]))
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="sum to inf"):
+            SteadyStateDistribution(np.array([1e308, 1e308]))
+
+    @pytest.mark.parametrize(
+        "probabilities, match",
+        [
+            ([np.nan, 1.0], "finite"),
+            ([np.inf, 1.0], "finite"),
+            ([-1e-13, 1.0 + 1e-13], "non-negative"),
+        ],
+    )
+    def test_distribution_is_finite_and_non_negative(self, probabilities, match):
+        with pytest.raises(ValueError, match=match):
+            SteadyStateDistribution(np.array(probabilities))
+        SteadyStateDistribution(np.array([-0.0, 1.0]))  # -0.0 is not negative
+
+    def test_overflowed_solve_is_a_convergence_error(self):
+        # GTH's back-substitution overflows on this 1-D chain, leaving a
+        # NaN vector whose NaN residual must not pass the 1e-9 check.
+        classes = tuple(
+            TrafficClassSpec(f"t{i + 1}", 1000.0, 1.0, i + 1, i + 1) for i in range(3)
+        )
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            ConvergenceError, match="residual nan"
+        ):
+            solve(SystemConfig(400, classes), "literal1d")
 
 
 def full_block_gth(off_diag):
@@ -518,6 +627,12 @@ class TestRecurrence:
     def test_requires_three_classes(self):
         with pytest.raises(ModePreconditionError, match="3 classes"):
             recurrence_blocking(single_class(5, 1.0))
+
+    def test_overflow_is_a_precondition_failure(self):
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            ModePreconditionError, match="overflows"
+        ):
+            recurrence_blocking(self.equal_rate_cfg(1000.0, 400))
 
 
 class TestSolveDispatch:

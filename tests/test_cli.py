@@ -4,6 +4,7 @@ formats, and byte-level determinism."""
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from caclab import ConfigError, ScenarioError
@@ -197,6 +198,33 @@ class TestSolveCommand:
         code = main(["solve", "--config", write_scenario(tmp_path, SINGLE_CLASS),
                      "--mode", "fancy"])
         assert code == 4
+
+    def test_state_space_limit_exits_4(self, tmp_path, capsys):
+        doc = json.loads(json.dumps(DEFAULT_SCENARIO))
+        doc["system"]["capacity"] = 500
+        code = main(["solve", "--config", write_scenario(tmp_path, doc),
+                     "--mode", "ctmc"])
+        assert code == 4
+        assert capsys.readouterr().err == (
+            "error: state count exceeds the safety limit of 2000000; "
+            "reduce capacity or use the 1-D aggregate mode\n"
+        )
+
+    @pytest.mark.parametrize("mode, message", [
+        ("literal1d", "error: steady-state residual nan is not within 1e-9\n"),
+        ("recurrence", "error: recurrence overflows double precision by capacity "
+                       "400; reduce the load or the capacity\n"),
+    ])
+    def test_overflowed_solve_exits_4(self, tmp_path, capsys, mode, message):
+        doc = json.loads(json.dumps(DEFAULT_SCENARIO))
+        doc["system"]["capacity"] = 400
+        for cls in doc["system"]["classes"]:
+            cls["arrival_rate"] = 1000.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["solve", "--config", write_scenario(tmp_path, doc),
+                         "--mode", mode])
+        assert code == 4
+        assert capsys.readouterr().err == message
 
     def test_kr_token(self, tmp_path, capsys):
         code = main(["solve", "--config", write_scenario(tmp_path, SINGLE_CLASS),
