@@ -202,26 +202,38 @@ class StateSpace:
         return cfg.capacity - self.states @ cfg.bandwidths
 
 
+def count_states(cfg: SystemConfig) -> int:
+    """Number of occupancy vectors with total demand within capacity,
+    by a coin-change count in O(capacity x classes)."""
+    ways = [1] + [0] * cfg.capacity
+    for cls in cfg.classes:
+        for used in range(cls.bandwidth, cfg.capacity + 1):
+            ways[used] += ways[used - cls.bandwidth]
+    return sum(ways)
+
+
 def enumerate_states(cfg: SystemConfig, max_states: int = DEFAULT_MAX_STATES) -> StateSpace:
     """Enumerate every occupancy vector with total demand within capacity.
 
     States are generated in lexicographic order over (n_1 ... n_K),
     so indices are reproducible across runs. Raises
-    :class:`StateSpaceLimitError` when the count would exceed
-    ``max_states`` (reduce capacity or use the 1-D aggregate mode).
+    :class:`StateSpaceLimitError`, before building any state, when the
+    count exceeds ``max_states`` (reduce capacity or use the 1-D
+    aggregate mode).
     """
     validate_config(cfg)
+    count = count_states(cfg)
+    if count > max_states:
+        raise StateSpaceLimitError(
+            f"state count {count} exceeds the safety limit of {max_states}; "
+            "reduce capacity or use the 1-D aggregate mode"
+        )
     bands = [int(c.bandwidth) for c in cfg.classes]
     capacity = cfg.capacity
     states: list[tuple[int, ...]] = []
 
     def extend(prefix: list[int], used: int, depth: int):
         if depth == len(bands):
-            if len(states) >= max_states:
-                raise StateSpaceLimitError(
-                    f"state count exceeds the safety limit of {max_states}; "
-                    "reduce capacity or use the 1-D aggregate mode"
-                )
             states.append(tuple(prefix))
             return
         b = bands[depth]

@@ -3,8 +3,8 @@
 Markovian mode simulates the jump chain of the multi-class process
 directly (exponential interarrivals per class, per-call exponential
 holding); blocked calls are counted and lost. Trace-driven mode replays
-an :class:`~caclab.traffic.ArrivalTrace` and samples holding times from
-per-class distributions.
+an :class:`~caclab.traffic.ArrivalTrace` with holding times drawn from
+per-class distributions before the replay starts.
 
 Replication r of a run seeded with s uses the r-th output of a
 splitmix64 stream started at s, so replications are independent but
@@ -19,7 +19,7 @@ from scipy.special import stdtrit
 
 from .errors import ConfigError, SimulationError
 from .model import SystemConfig, validate_config
-from .traffic import ArrivalTrace, DistributionSpec, scalar_sampler
+from .traffic import ArrivalTrace, DistributionSpec, sample_distribution
 
 _CHUNK = 1 << 16
 _MASK64 = (1 << 64) - 1
@@ -277,7 +277,14 @@ def _trace_replication(
     capacity = cfg.capacity
     band = cfg.bandwidths.tolist()
     thresh = cfg.thresholds.tolist()
-    draw_holding = [scalar_sampler(spec) for spec in holding]
+    stop = int(np.searchsorted(trace.times, horizon))
+    classes = trace.classes[:stop]
+    # One holding time per in-horizon arrival, drawn class by class in
+    # trace order; a blocked arrival leaves its draw unused.
+    hold = np.empty(stop)
+    for c, spec in enumerate(holding):
+        mine = classes == c
+        hold[mine] = sample_distribution(spec, rng, size=np.count_nonzero(mine))
     K = cfg.num_classes
     offered = [0] * K
     blocked = [0] * K
@@ -286,8 +293,9 @@ def _trace_replication(
     seq = 0
     occ = 0
     now = 0.0
-    stop = int(np.searchsorted(trace.times, horizon))
-    for t_arr, c in zip(trace.times[:stop].tolist(), trace.classes[:stop].tolist()):
+    for t_arr, c, h in zip(
+        trace.times[:stop].tolist(), classes.tolist(), hold.tolist()
+    ):
         # Departures scheduled at the same instant free channels first.
         while departures and departures[0][0] <= t_arr:
             t_dep, _, dc = heapq.heappop(departures)
@@ -307,7 +315,7 @@ def _trace_replication(
             if occ > capacity:
                 raise SimulationError("channel conservation violated")
             seq += 1
-            heapq.heappush(departures, (t_arr + draw_holding[c](rng), seq, c))
+            heapq.heappush(departures, (t_arr + h, seq, c))
         elif t_arr >= warmup:
             blocked[c] += 1
     while departures and departures[0][0] < horizon:
@@ -334,13 +342,15 @@ def run_trace_driven(
     holding: tuple[DistributionSpec, ...],
     params: SimParams,
 ) -> SimStats:
-    """Replay ``trace`` against the admission policy, sampling holding
+    """Replay ``trace`` against the admission policy, with holding
     times from the per-class distributions.
 
     The trace is fixed across replications; only holding times are
-    re-drawn, with seeds derived from ``params.seed``. The measured
-    window ends at the earlier of the trace horizon and
-    ``params.horizon``.
+    re-drawn, with seeds derived from ``params.seed``. Each replication
+    draws them before its replay: one per arrival before the horizon,
+    for class 0 first, then class 1 and so on, each class's in trace
+    order. The measured window ends at the earlier of the trace horizon
+    and ``params.horizon``.
     """
     validate_config(cfg)
     if len(holding) != cfg.num_classes:

@@ -13,14 +13,11 @@ identical (spec, horizon, seed) triples reproduce traces bit for bit.
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Union
 
 import numpy as np
 
 _BISECT_TOL = 1e-12
-# Relative distance from the target within which a BiPareto ccdf
-# comparison is re-decided by the scalar ccdf (see _ccdf_above).
-_CLOSE_CALL = 1e-13
 # Largest block of interarrivals sample_renewal draws at once; larger
 # blocks only raise peak memory.
 _RENEWAL_BLOCK = 4096
@@ -63,7 +60,11 @@ class BiPareto:
     minimum and ``beta`` in the far tail, blending around
     ``breakpoint``: the complementary CDF is
     (x/k)^-alpha * ((x+c)/(k+c))^(alpha-beta) for x >= k = minimum,
-    c = breakpoint."""
+    c = breakpoint.
+
+    A spec is rejected unless its quantile at the smallest tail mass a
+    draw can ask for (``rng.random()`` is at most 1 - 2^-53) is finite,
+    so every draw is finite."""
 
     alpha: float
     beta: float
@@ -79,12 +80,23 @@ class BiPareto:
             raise ValueError(
                 f"bipareto breakpoint {self.breakpoint} below minimum {self.minimum}"
             )
+        with np.errstate(over="ignore", invalid="ignore"):
+            tail = _bipareto_inverse_array(self, np.array([1.0 - 2.0**-53]))
+        if not np.isfinite(tail[0]):
+            raise ValueError(
+                "bipareto tail too heavy: the quantile at tail mass 2^-53 "
+                "overflows (raise beta)"
+            )
 
-    def ccdf(self, x: float) -> float:
+    def ccdf(self, x):
+        """Complementary CDF at a scalar or an array, evaluated in log
+        space so that no power overflows; exactly 1 up to the minimum."""
         k, c = self.minimum, self.breakpoint
-        if x <= k:
-            return 1.0
-        return (x / k) ** (-self.alpha) * ((x + c) / (k + c)) ** (self.alpha - self.beta)
+        x = np.maximum(x, k)
+        return np.exp(
+            (self.alpha - self.beta) * (np.log(x + c) - np.log(k + c))
+            - self.alpha * (np.log(x) - np.log(k))
+        )
 
 
 @dataclass(frozen=True)
@@ -241,47 +253,15 @@ class ArrivalTrace:
         return int(self.times.size)
 
 
-def scalar_sampler(spec: DistributionSpec) -> Callable[[np.random.Generator], float]:
-    """A callable drawing one value of ``spec`` from a generator.
-
-    It consumes the same draws as ``sample_distribution(spec, rng,
-    size=1)`` and returns its element bit for bit, without building
-    arrays: it applies the same numpy ufuncs to one draw, because
-    numpy's pow and Python's float ``**`` can differ in the last bit.
-    """
-    if isinstance(spec, Constant):
-        value = float(spec.value)
-        return lambda rng: value
-    if isinstance(spec, Exponential):
-        rate = spec.rate
-        return lambda rng: float(-np.log1p(-rng.random()) / rate)
-    if isinstance(spec, Lognormal):
-        log_mean, log_stdev = spec.log_mean, spec.log_stdev
-        return lambda rng: float(np.exp(log_mean + log_stdev * rng.standard_normal()))
-    if isinstance(spec, Weibull):
-        scale, exponent = spec.scale, 1.0 / spec.shape
-        # ``**`` on a 0-d array picks the ufunc the array path picks
-        # (numpy turns some exponents, such as 0.5, into sqrt).
-        return lambda rng: float(
-            scale * np.asarray(-np.log1p(-rng.random())) ** exponent
-        )
-    if isinstance(spec, BiPareto):
-        return lambda rng: float(_bipareto_inverse(spec, rng.random()))
-    raise TypeError(f"unknown distribution spec {type(spec).__name__}")
-
-
-def sample_distribution(
-    spec: DistributionSpec, rng: np.random.Generator, size: int | None = None
-):
-    """Draw from ``spec``; scalar when ``size`` is None, else an array.
+def sample_distribution(spec: DistributionSpec, rng: np.random.Generator, size: int):
+    """Draw an array of ``size`` values from ``spec``.
 
     Everything is inverse-transform sampled from uniforms (the
     lognormal goes through a normal draw), so a seeded generator
-    reproduces values exactly. n scalar draws equal one draw of size n,
-    and leave the generator in the same state.
+    reproduces values exactly. ``size`` draws of one value each equal
+    one draw of ``size`` values, and leave the generator in the same
+    state; a ``Constant`` draws nothing.
     """
-    if size is None:
-        return scalar_sampler(spec)(rng)
     n = int(size)
     if isinstance(spec, Constant):
         return np.full(n, float(spec.value))
@@ -296,94 +276,45 @@ def sample_distribution(
     raise TypeError(f"unknown distribution spec {type(spec).__name__}")
 
 
-def _bipareto_inverse(spec: BiPareto, u: float) -> float:
-    """Solve ccdf(x) = 1 - u by bracketing doubling plus bisection.
-
-    The scalar reference: :func:`_bipareto_inverse_array` takes the same
-    steps for many u at once and must return the same bits.
-    """
-    target = 1.0 - u
-    if target >= 1.0:
-        return spec.minimum
-    lo = spec.minimum
-    hi = max(2.0 * spec.minimum, spec.minimum + spec.breakpoint)
-    while spec.ccdf(hi) > target:
-        hi *= 2.0
-    while hi - lo > _BISECT_TOL * max(1.0, hi):
-        mid = 0.5 * (lo + hi)
-        if spec.ccdf(mid) > target:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def _bipareto_inverse_array(spec: BiPareto, u: np.ndarray) -> np.ndarray:
-    """:func:`_bipareto_inverse` element-wise, bit for bit.
+    """Solve ``spec.ccdf(x) = 1 - u`` element-wise by bracketing
+    doubling plus bisection; u = 0 gives the minimum.
 
-    Each element keeps its own bracket and takes the same doubling and
-    bisection steps, with the same midpoints and the same stop test;
-    the loops run until no element is left active.
+    Each element keeps its own bracket, starting at
+    [minimum, max(2 minimum, minimum + breakpoint)]: the upper end
+    doubles until the ccdf there is at most the target, then bisection
+    halves the bracket until its width is within 1e-12 of
+    max(1, upper end). So every element takes the steps it would take
+    alone.
     """
     target = 1.0 - u
-    out = np.full(target.shape, float(spec.minimum))
-    solve = np.flatnonzero(target < 1.0)
-    target = target[solve]
-    lo = np.full(solve.size, float(spec.minimum))
-    hi = np.full(
-        solve.size, float(max(2.0 * spec.minimum, spec.minimum + spec.breakpoint))
-    )
-    active = np.arange(solve.size)
+    lo = np.full(target.shape, float(spec.minimum))
+    start = max(2.0 * spec.minimum, spec.minimum + spec.breakpoint)
+    hi = np.where(target < 1.0, start, lo)
+    active = np.arange(hi.size)
     while active.size:
-        active = active[_ccdf_above(spec, hi[active], target[active])]
+        active = active[spec.ccdf(hi[active]) > target[active]]
         hi[active] *= 2.0
-    active = np.arange(solve.size)
+    active = np.arange(hi.size)
     while True:
         width = hi[active] - lo[active]
         active = active[width > _BISECT_TOL * np.maximum(1.0, hi[active])]
         if not active.size:
             break
         mid = 0.5 * (lo[active] + hi[active])
-        above = _ccdf_above(spec, mid, target[active])
+        above = spec.ccdf(mid) > target[active]
         lo[active[above]] = mid[above]
         hi[active[~above]] = mid[~above]
-    out[solve] = 0.5 * (lo + hi)
-    return out
-
-
-def _ccdf_above(spec: BiPareto, x: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """``spec.ccdf(x) > target`` element-wise, as the scalar ccdf decides.
-
-    numpy's pow can differ from Python's float ``**`` by an ulp, so a
-    comparison whose array ccdf lies within ``_CLOSE_CALL`` (relative)
-    of the target is decided again with the scalar ``spec.ccdf``; every
-    other one agrees with it while pow errs by less than that. So is one
-    whose array ccdf is not finite: where numpy's pow overflows, Python's
-    raises ``OverflowError``, and so must this.
-    """
-    k, c = spec.minimum, spec.breakpoint
-    with np.errstate(over="ignore", invalid="ignore"):
-        ccdf = np.where(
-            x <= k,
-            1.0,
-            (x / k) ** (-spec.alpha) * ((x + c) / (k + c)) ** (spec.alpha - spec.beta),
-        )
-    above = ccdf > target
-    recheck = ~np.isfinite(ccdf) | (np.abs(ccdf - target) <= _CLOSE_CALL * target)
-    for i in np.flatnonzero(recheck).tolist():
-        above[i] = spec.ccdf(float(x[i])) > target[i]
-    return above
+    return 0.5 * (lo + hi)
 
 
 def sample_poisson_process(
     rate: RateFunction, horizon: float, rng: np.random.Generator
 ) -> np.ndarray:
-    """Event times of a time-varying Poisson process on [0, horizon).
+    """Event times of a piecewise-constant Poisson process on [0, horizon).
 
-    Candidates are generated per segment at the segment's maximum rate
-    and thinned by the instantaneous-to-envelope ratio; with a
-    piecewise-constant profile every candidate survives, but the
-    acceptance step keeps the sampler valid for any envelope.
+    Each segment with a positive rate draws a Poisson count for its
+    length, then that many sorted uniform times within it.
     """
     if horizon <= 0:
         raise ValueError(f"horizon must be > 0, got {horizon}")
@@ -392,9 +323,7 @@ def sample_poisson_process(
         if seg_rate <= 0:
             continue
         count = rng.poisson(seg_rate * (end - start))
-        candidates = np.sort(rng.uniform(start, end, size=count))
-        keep = rng.random(count) * seg_rate < rate.values_at(candidates)
-        pieces.append(candidates[keep])
+        pieces.append(np.sort(rng.uniform(start, end, size=count)))
     if not pieces:
         return np.empty(0)
     return np.concatenate(pieces)
@@ -517,7 +446,7 @@ def superpose_user_sessions(
     """Population-driven arrivals: draw a user count for the epoch,
     then superpose that many independent copies of the per-user
     session process. Fractional counts round to the nearest integer."""
-    count = max(0, round(float(sample_distribution(user_count, rng))))
+    count = max(0, round(float(sample_distribution(user_count, rng, size=1)[0])))
     pieces = [sample_process(per_user_process, horizon, rng) for _ in range(count)]
     if not pieces:
         return np.empty(0)

@@ -3,10 +3,15 @@ formats, and byte-level determinism."""
 
 import hashlib
 import json
+import os
+from pathlib import Path
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import caclab
 from caclab import ConfigError, ScenarioError
 from caclab.cli import main
 from caclab.scenario import load_scenario, parse_scenario
@@ -206,7 +211,7 @@ class TestSolveCommand:
                      "--mode", "ctmc"])
         assert code == 4
         assert capsys.readouterr().err == (
-            "error: state count exceeds the safety limit of 2000000; "
+            "error: state count 3545598 exceeds the safety limit of 2000000; "
             "reduce capacity or use the 1-D aggregate mode\n"
         )
 
@@ -273,6 +278,15 @@ class TestSimulateCommand:
         doc = {"system": SINGLE_CLASS["system"]}
         code = main(["simulate", "--config", write_scenario(tmp_path, doc)])
         assert code == 2
+
+    def test_overflowing_bipareto_exits_2(self, tmp_path, capsys):
+        # Its quantile at tail mass 2^-53 overflows, so the spec is refused.
+        doc = json.loads(json.dumps(TRACE_DRIVEN))
+        doc["sim"]["holding"][2] = {"kind": "bipareto", "alpha": 5.0, "beta": 0.01,
+                                    "breakpoint": 1.0, "minimum": 1.0}
+        code = main(["simulate", "--config", write_scenario(tmp_path, doc)])
+        assert code == 2
+        assert "bipareto tail too heavy" in capsys.readouterr().err
 
     def test_seed_override_changes_output(self, tmp_path):
         path = write_scenario(tmp_path, DEFAULT_SCENARIO)
@@ -381,17 +395,25 @@ class TestTraceCommand:
         assert code == 2
 
 
+# numpy's AVX-512 dispatch targets, by their NPY_DISABLE_CPU_FEATURES
+# names; a numpy build ignores, with an ImportWarning, those it does not
+# dispatch to.
+AVX512_FEATURES = ("X86_V4 AVX512_ICL AVX512_SPR AVX512F AVX512CD AVX512VL "
+                   "AVX512BW AVX512DQ AVX512_SKX AVX512_CLX AVX512_CNL")
+
+
 class TestTraceDrivenGolden:
-    """sha256 of the trace-driven outputs, recorded when renewals were
-    sampled one interarrival at a time and replays drew holding times
-    through one-element arrays; the block sampler and the list-based
-    replay must reproduce them bit for bit."""
+    """sha256 of the trace-driven outputs, recorded when Poisson
+    segments stopped drawing acceptance uniforms, the BiPareto ccdf
+    moved to log space and replays began to draw each class's holding
+    times in one block before replaying; reruns must reproduce them bit
+    for bit."""
 
     @pytest.mark.parametrize(
         "command, digest",
         [
-            ("simulate", "19a410397504cf6e571a37cc0cfdc5c7e18cbcef8bbde639ce597d8c97975fed"),
-            ("trace", "ebefd9c5c7b09beb05769c958556b33458daad295f4a5ea76e90bf716c42cf9d"),
+            ("simulate", "74106778266fd6b64d9522d391b4afc055b6c868a18eca1a37bbb07b9bb56483"),
+            ("trace", "aea2174b479b7038dccc817cbbacb3322e4b35fa1a69be725f369506b8a5d090"),
         ],
     )
     def test_output_digest(self, tmp_path, command, digest):
@@ -400,6 +422,23 @@ class TestTraceDrivenGolden:
                      "--out", str(out)])
         assert code == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    def test_digests_hold_without_avx512(self):
+        # Reruns the goldens written with the log-space BiPareto ccdf in
+        # a child whose numpy may not dispatch its math to AVX-512.
+        tests = Path(__file__).parent
+        src = str(Path(caclab.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=AVX512_FEATURES, PYTHONPATH=path)
+        result = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+             f"{tests / 'test_cli.py'}::TestTraceDrivenGolden::test_output_digest",
+             f"{tests / 'test_traffic.py'}::TestBitForBitSampling::"
+             "test_golden_renewal[bipareto_alpha_lt_beta]"],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert result.returncode == 0, result.stdout + result.stderr
+        assert "3 passed" in result.stdout
 
 
 class TestDeterminism:

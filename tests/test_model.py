@@ -13,6 +13,7 @@ from caclab import (
     free_channels,
     validate_config,
 )
+from caclab.model import count_states
 
 
 def make_config(capacity, thresholds, bandwidths=None, lam=1.0, mu=1.0):
@@ -175,9 +176,9 @@ class TestEnumerateStates:
                 return
             thresholds = list(np.maximum.accumulate(bandwidths))
             cfg = make_config(capacity, thresholds, bandwidths=list(bandwidths))
-            assert len(enumerate_states(cfg)) == brute_force_count(
-                capacity, bandwidths
-            )
+            expected = brute_force_count(capacity, bandwidths)
+            assert len(enumerate_states(cfg)) == expected
+            assert count_states(cfg) == expected
 
         for capacity in range(1, 13):
             for k in (1, 2, 3):
@@ -197,3 +198,13 @@ class TestEnumerateStates:
     def test_safety_limit(self):
         with pytest.raises(StateSpaceLimitError, match="1-D"):
             enumerate_states(make_config(40, [1, 1, 1, 1]), max_states=100)
+
+    @pytest.mark.parametrize("capacity, states", [(20, 358), (40, 2_282)])
+    def test_count_matches_enumeration(self, capacity, states):
+        cfg = make_config(capacity, [1, 3, 5], bandwidths=[1, 2, 3])
+        assert count_states(cfg) == len(enumerate_states(cfg)) == states
+
+    def test_oversized_space_refused_by_its_count(self):
+        cfg = make_config(500, [1, 3, 5], bandwidths=[1, 2, 3])
+        with pytest.raises(StateSpaceLimitError, match="state count 3545598 exceeds"):
+            enumerate_states(cfg)

@@ -242,6 +242,33 @@ class TestTraceDriven:
             joint = trace_stats.half_width[k] + markov_stats.half_width[k]
             assert gap <= joint
 
+    def test_golden_constant_holding_replay(self):
+        # Constant holdings draw nothing, so this digest pins the replay
+        # itself: simultaneous arrivals, departures at arrival instants,
+        # the threshold rule, the warm-up and a horizon cut short of the
+        # trace's. Recorded while holding times were still drawn one
+        # admitted call at a time.
+        cfg = SystemConfig(10, (
+            TrafficClassSpec("a", 1.0, 1.0, 1, 1),
+            TrafficClassSpec("b", 1.0, 1.0, 2, 3),
+            TrafficClassSpec("c", 1.0, 1.0, 3, 5),
+        ))
+        gen = np.random.Generator(np.random.PCG64(5))
+        times = np.sort(gen.integers(0, 400, size=600)) * 0.5
+        trace = self.make_trace(times, gen.integers(0, 3, size=600), 200.0)
+        holding = (Constant(1.5), Constant(2.5), Constant(4.0))
+        params = SimParams(horizon=190.0, warmup=20.0, replications=2, seed=11,
+                           service_model="trace_driven")
+        stats = run_trace_driven(cfg, trace, holding, params)
+        payload = b"".join(
+            np.asarray(a).tobytes()
+            for a in (stats.offered, stats.blocked, stats.blocking,
+                      stats.half_width, stats.occupancy_histogram)
+        )
+        assert hashlib.sha256(payload).hexdigest() == (
+            "ed760b042350a79b1d4f8d5e2c9ab48a39dc346474f21585ab48c2e8672159ef"
+        )
+
     def test_deterministic(self):
         cfg = default_scenario()
         mix = TrafficMixtureSpec(
