@@ -17,6 +17,7 @@ Five computation modes produce a :class:`BlockingReport`:
     and the single-class unit-bandwidth case respectively).
 """
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
@@ -32,6 +33,9 @@ MODES = ("ctmc", "literal1d", "recurrence", "kaufman_roberts", "erlang_b")
 
 RESIDUAL_TOL = 1e-9
 DENSE_CEILING = 50_000
+# Bytes of dense blocks one GTH stack may hold: four blocks of the
+# 354-state stock chain. A block past it is eliminated on its own.
+STACK_BYTES = 4 << 20
 SWEEP_TOL = 1e-12
 MAX_SWEEPS = 1_000_000
 
@@ -236,44 +240,65 @@ def build_literal_1d_generator(cfg: SystemConfig) -> RateMatrix:
 
 
 def _gth_stationary(a: np.ndarray) -> np.ndarray:
-    """Cancellation-free stationary vector of an irreducible generator.
+    """Cancellation-free stationary vectors of a stack of irreducible
+    generators.
 
     Grassmann-Taksar-Heyman elimination: states are folded away from
     the highest index down, redistributing each eliminated state's flow
     over the remaining ones using only additions, multiplications and
-    divisions of non-negative rates. ``a`` holds the off-diagonal rates
-    as a float array and is eliminated in place; diagonal entries are
-    never read.
+    divisions of non-negative rates. ``a`` is a ``(P, m, m)`` float
+    array of P chains' off-diagonal rates, eliminated in place (one
+    chain is a stack of one); diagonal entries are never read. Returns
+    the ``(P, m)`` stationary vectors; a chain that is not irreducible
+    fails the whole stack.
 
-    Each fold touches only the generator's envelope: the rows from the
-    first nonzero of column k and the columns from the first nonzero of
-    row k. Outside that rectangle the dense update would add exact
-    zeros, so the result is bit-identical to it, while a banded chain
-    (such as the multi-class chain in lexicographic order) costs
-    O(m b^2) for bandwidth b instead of O(m^3). The pivot sums and the
-    back-substitution still run over full rows and columns, keeping
-    their summation order.
+    Each fold of state k applies to every chain at once and touches
+    only the stack's envelope, computed once before the loop from the
+    union of the chains' nonzeros: the rows from the first nonzero of
+    column k and the columns from the first nonzero of row k, each
+    taken as a minimum over k and every later state. A fold adds only
+    to rows below its column's first nonzero and to columns right of
+    its row's, so those minima cover all fill-in; inside the rectangle
+    a chain's own zeros add exact zeros, and each chain's vector is
+    bit-identical to elimination over its full dense block. A banded
+    chain (such as the multi-class chain in lexicographic order) costs
+    O(m b^2) for bandwidth b instead of O(m^3). The pivot sums run over
+    full rows, and the back-substitution, one chain at a time, over
+    full columns, keeping their summation order.
     """
-    m = a.shape[0]
+    stack, m, _ = a.shape
     if m == 1:
-        return np.ones(1)
+        return np.ones((stack, 1))
+    # First nonzero row of each column and first nonzero column of each
+    # row of the union (m where there is none). The fold of k works on
+    # indices below k only, and a first nonzero below k lies above or
+    # left of the diagonal, so the diagonal and beyond need no masking.
+    rows, cols = np.nonzero(np.logical_or.reduce(a, axis=0))
+    first_row = np.full(m, m)
+    first_col = np.full(m, m)
+    np.minimum.at(first_row, cols, rows)
+    np.minimum.at(first_col, rows, cols)
+    col_start = np.minimum.accumulate(first_row[::-1])[::-1].tolist()
+    row_start = np.minimum.accumulate(first_col[::-1])[::-1].tolist()
     for k in range(m - 1, 0, -1):
-        row = a[k, :k]
-        s = row.sum()
-        if s <= 0.0:
+        row = a[:, k, :k]
+        s = row.sum(axis=1)
+        if (s <= 0.0).any():
             raise DegenerateChainError(
                 "chain is not irreducible on the reachable set"
             )
-        col = a[:k, k]
-        lo_c = int(np.argmax(col != 0.0))
-        lo_r = int(np.argmax(row != 0.0))
-        col[lo_c:] /= s
-        a[lo_c:k, lo_r:k] += np.outer(col[lo_c:], row[lo_r:])
-    pi = np.zeros(m)
-    pi[0] = 1.0
-    for k in range(1, m):
-        pi[k] = pi[:k] @ a[:k, k]
-    return pi / pi.sum()
+        lo_c, lo_r = col_start[k], row_start[k]
+        col = a[:, lo_c:k, k]
+        col /= s[:, None]
+        a[:, lo_c:k, lo_r:k] += col[:, :, None] * row[:, None, lo_r:]
+    out = np.empty((stack, m))
+    for chain, b in zip(out, a):
+        pi = np.zeros(m)
+        pi[0] = 1.0
+        for k in range(1, m):
+            pi[k] = pi[:k] @ b[:k, k]
+        chain[:] = pi / pi.sum()
+    return out
 
 
 def _power_sweep_stationary(q_csr: sp.csr_matrix) -> np.ndarray:
@@ -328,41 +353,77 @@ def _closed_reachable_subset(q_csr: sp.csr_matrix) -> np.ndarray:
     return reachable[labels == closed[0]]
 
 
-def steady_state(q: RateMatrix) -> SteadyStateDistribution:
-    """Stationary distribution of ``q`` restricted to the closed class
-    reachable from the empty state; zero elsewhere.
+def steady_states(qs: Sequence[RateMatrix]) -> list[SteadyStateDistribution]:
+    """Stationary distribution of each generator in ``qs``, all of one
+    dimension, restricted to the closed class reachable from the empty
+    state; zero elsewhere.
 
-    Uses GTH elimination on supports of up to ``DENSE_CEILING`` states
-    and the uniformized fixed-point sweep beyond it. The result is
-    checked to satisfy max |pi Q| <= 1e-9; a non-finite residual (an
-    overflowed solve) fails that check too.
+    Chains with one sparsity pattern share one support search. Chains
+    with one support of up to ``DENSE_CEILING`` states are solved
+    together by GTH elimination, in stacks of at most ``STACK_BYTES``;
+    larger supports take the uniformized fixed-point sweep, one chain
+    at a time. Each result is checked to satisfy max |pi Q| <= 1e-9; a
+    non-finite residual (an overflowed solve) fails that check too. A
+    chain without a solution fails the whole call: solve the chains one
+    at a time to tell which one.
     """
-    dim = q.dimension
-    if dim == 1:
-        return SteadyStateDistribution(np.ones(1), residual=0.0)
-    csr = q.to_csr()
-    if csr.nnz == 0:
+    if len({q.dimension for q in qs}) > 1:
+        raise ValueError("generators must all have one dimension")
+    csrs = [q.to_csr() for q in qs]
+    if any(csr.nnz == 0 and csr.shape[0] > 1 for csr in csrs):
         raise DegenerateChainError(
             "all-zero generator with more than one state has no unique steady state"
         )
-    support = _closed_reachable_subset(csr)
-    pi = np.zeros(dim)
-    if support.shape[0] == 1:
-        pi[support[0]] = 1.0
-    else:
-        sub = csr[support][:, support]
-        if support.shape[0] <= DENSE_CEILING:
-            dense = sub.toarray()
-            np.fill_diagonal(dense, 0.0)
-            pi[support] = _gth_stationary(dense)
+    supports: dict[tuple[bytes, bytes], np.ndarray] = {}
+    groups: dict[bytes, tuple[np.ndarray, list[int]]] = {}
+    for i, (q, csr) in enumerate(zip(qs, csrs)):
+        pattern = (q.rows.tobytes(), q.cols.tobytes())
+        if pattern not in supports:
+            supports[pattern] = _closed_reachable_subset(csr)
+        support = supports[pattern]
+        groups.setdefault(support.tobytes(), (support, []))[1].append(i)
+    pis = [np.zeros(q.dimension) for q in qs]
+    for support, members in groups.values():
+        m = support.shape[0]
+        if m == 1:
+            for i in members:
+                pis[i][support[0]] = 1.0
+        elif m > DENSE_CEILING:
+            for i in members:
+                pis[i][support] = _power_sweep_stationary(csrs[i][support][:, support])
         else:
-            pi[support] = _power_sweep_stationary(sub)
-    residual = float(np.abs(pi @ csr).max())
-    if not residual <= RESIDUAL_TOL:
-        raise ConvergenceError(
-            f"steady-state residual {residual:.3e} is not within 1e-9"
-        )
-    return SteadyStateDistribution(pi, residual=residual)
+            index = np.full(qs[members[0]].dimension, -1)
+            index[support] = np.arange(m)
+            per_stack = max(1, STACK_BYTES // (8 * m * m))
+            # One buffer per group: fresh zeros leave the pages outside
+            # the envelope untouched, and reuse keeps later chunks from
+            # growing the heap.
+            buffer = np.zeros((min(per_stack, len(members)), m, m))
+            for start in range(0, len(members), per_stack):
+                chunk = members[start : start + per_stack]
+                stack = buffer[: len(chunk)]
+                if start:
+                    stack.fill(0.0)
+                for a, i in zip(stack, chunk):
+                    rows, cols = index[qs[i].rows], index[qs[i].cols]
+                    inside = (rows >= 0) & (cols >= 0) & (rows != cols)
+                    a[rows[inside], cols[inside]] = qs[i].rates[inside]
+                for i, pi in zip(chunk, _gth_stationary(stack)):
+                    pis[i][support] = pi
+    results = []
+    for pi, csr in zip(pis, csrs):
+        residual = float(np.abs(pi @ csr).max())
+        if not residual <= RESIDUAL_TOL:
+            raise ConvergenceError(
+                f"steady-state residual {residual:.3e} is not within 1e-9"
+            )
+        results.append(SteadyStateDistribution(pi, residual=residual))
+    return results
+
+
+def steady_state(q: RateMatrix) -> SteadyStateDistribution:
+    """Stationary distribution of one generator: ``steady_states([q])``."""
+    return steady_states([q])[0]
 
 
 def _report_from_free_mass(
@@ -552,14 +613,37 @@ def recurrence_blocking(
 
 def solve(cfg: SystemConfig, mode: str) -> BlockingReport:
     """Blocking report for ``cfg`` under the given computation mode."""
-    validate_config(cfg)
+    return solve_batch([cfg], mode)[0]
+
+
+def solve_batch(cfgs: Sequence[SystemConfig], mode: str) -> list[BlockingReport]:
+    """Blocking report for each config under one mode.
+
+    The configs must share capacity and bandwidths, so that the ctmc
+    chains share one state space, enumerated once; the ctmc and the
+    literal1d chains are solved together by :func:`steady_states`.
+    The other modes are closed forms, evaluated config by config.
+    """
+    if not cfgs:
+        return []
+    for cfg in cfgs:
+        validate_config(cfg)
+    if len({(cfg.capacity, cfg.bandwidths.tobytes()) for cfg in cfgs}) > 1:
+        raise ValueError("configs must share capacity and bandwidths")
     if mode == "ctmc":
-        space = enumerate_states(cfg)
-        pi = steady_state(build_generator(cfg, space))
-        return blocking_probabilities(pi, cfg, space)
+        space = enumerate_states(cfgs[0])
+        pis = steady_states([build_generator(cfg, space) for cfg in cfgs])
+        return [blocking_probabilities(pi, cfg, space) for pi, cfg in zip(pis, cfgs)]
     if mode == "literal1d":
-        pi = steady_state(build_literal_1d_generator(cfg))
-        return _blocking_from_occupancy_1d(pi, cfg, "literal1d")
+        pis = steady_states([build_literal_1d_generator(cfg) for cfg in cfgs])
+        return [
+            _blocking_from_occupancy_1d(pi, cfg, "literal1d")
+            for pi, cfg in zip(pis, cfgs)
+        ]
+    return [_closed_form(cfg, mode) for cfg in cfgs]
+
+
+def _closed_form(cfg: SystemConfig, mode: str) -> BlockingReport:
     if mode == "recurrence":
         _, report = recurrence_blocking(cfg)
         return report

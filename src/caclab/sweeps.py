@@ -10,8 +10,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .analytic import solve
-from .errors import ConfigError
+from .analytic import solve, solve_batch
+from .errors import CaclabError, ConfigError
 from .model import SystemConfig, TrafficClassSpec, validate_config
 from .simulate import SimParams, SimStats, run_simulation, splitmix64_stream
 
@@ -121,13 +121,31 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     rows carry 95% CI bounds; each grid point's simulation seed is
     derived from the master seed so the sweep is reproducible as a
     whole.
+
+    The analytic modes run mode by mode over the whole grid, through
+    :func:`solve_batch`: the ctmc state space is enumerated once, one
+    support search serves every point with the same pattern of zero
+    arrival rates, and the chains are eliminated together. Simulations
+    run point by point. When a mode fails anywhere on the grid, its
+    points are solved again one by one as the rows are emitted, so the
+    sweep raises the error of the first failing (point, mode) pair,
+    taking points in grid order and modes in sorted order.
     """
     validate_config(spec.base_config)
     num_classes = spec.base_config.num_classes
     modes = sorted(spec.modes)
+    configs = [
+        spec.base_config.with_arrival_rate(spec.swept_class, lam) for lam in spec.grid
+    ]
+    batches: dict[str, list] = {}
+    for mode in modes:
+        if mode != "sim":
+            try:
+                batches[mode] = solve_batch(configs, mode)
+            except CaclabError:
+                pass
     rows: list[SweepRow] = []
-    for g_idx, lam in enumerate(spec.grid):
-        cfg = spec.base_config.with_arrival_rate(spec.swept_class, lam)
+    for g_idx, (lam, cfg) in enumerate(zip(spec.grid, configs)):
         point_rows: dict[str, list[SweepRow]] = {}
         for mode in modes:
             if mode == "sim":
@@ -139,7 +157,8 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
                 for row in _sim_rows(lam, stats, num_classes):
                     point_rows.setdefault(row.class_label, []).append(row)
             else:
-                report = solve(cfg, mode)
+                batch = batches.get(mode)
+                report = batch[g_idx] if batch is not None else solve(cfg, mode)
                 for k in range(num_classes):
                     point_rows.setdefault(str(k + 1), []).append(
                         SweepRow(lam, str(k + 1), mode, float(report.per_class[k]))

@@ -453,18 +453,60 @@ class TestGth:
             cases.append(dense)
         for rates in cases:
             expected = full_block_gth(rates)
-            got = _gth_stationary(rates.copy())
-            assert got.tobytes() == expected.tobytes()
+            got = _gth_stationary(rates[None].copy())
+            assert got.shape == (1, rates.shape[0])
+            assert got[0].tobytes() == expected.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 6).flatmap(
+            lambda p: st.tuples(
+                st.sampled_from((1, 2, 3, 7, 8, 9, 128, 129, 130, 257)),
+                st.lists(st.sampled_from(("banded", "permuted", "dense")),
+                         min_size=p, max_size=p),
+            )
+        ),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_stack_matches_full_block_reference(self, shape, seed):
+        # Sizes straddle numpy's pairwise-summation blocks (8 and 128).
+        # Mixed members make the stack's union envelope wider than a
+        # banded member's own, so that member's extra cells add zeros.
+        m, kinds = shape
+        rng = np.random.default_rng(seed)
+        members = []
+        for kind in kinds:
+            rates = banded_rates(rng, m, band=int(rng.integers(1, 4)))
+            if kind == "permuted":
+                perm = rng.permutation(m)
+                rates = rates[np.ix_(perm, perm)]
+            elif kind == "dense":
+                rates = rng.uniform(0.1, 3.0, (m, m))
+                np.fill_diagonal(rates, 0.0)
+            members.append(rates)
+        got = _gth_stationary(np.array(members))
+        assert got.shape == (len(members), m)
+        for rates, pi in zip(members, got):
+            assert pi.tobytes() == full_block_gth(rates).tobytes()
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(2, 6), st.integers(2, 40), st.integers(0, 2**32 - 1))
+    def test_absorbing_member_fails_the_stack(self, p, m, seed):
+        rng = np.random.default_rng(seed)
+        stack = np.array([banded_rates(rng, m, band=2) for _ in range(p)])
+        stack[rng.integers(p), rng.integers(1, m), :] = 0.0
+        with pytest.raises(DegenerateChainError, match="irreducible"):
+            _gth_stationary(stack)
 
     def test_eliminates_in_place(self):
         rates = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [4.0, 1.0, 0.0]])
-        _gth_stationary(rates)
+        _gth_stationary(rates[None])
         # Folding state 2 divides its column by its exit rate 4 + 1.
         assert rates[1, 2] == 1.0 / 5.0
 
     def test_absorbing_state_is_degenerate(self):
         with pytest.raises(DegenerateChainError, match="irreducible"):
-            _gth_stationary(np.array([[0.0, 1.0], [0.0, 0.0]]))
+            _gth_stationary(np.array([[[0.0, 1.0], [0.0, 0.0]]]))
 
 
 class TestBlockingProbabilities:

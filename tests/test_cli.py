@@ -343,6 +343,19 @@ class TestSweepCommand:
                      "--out", str(tmp_path / "missing_dir" / "sweep.csv")])
         assert code == 5
 
+    def test_first_failing_mode_sets_exit(self, tmp_path, capsys):
+        # ctmc solves the two-class grid; literal1d then fails at the
+        # first point, and its error is the sweep's.
+        doc = json.loads(json.dumps(DEFAULT_SCENARIO))
+        doc["system"]["classes"] = doc["system"]["classes"][:2]
+        del doc["traffic"]
+        code = main(["sweep", "--config", write_scenario(tmp_path, doc),
+                     "--modes", "ctmc,literal1d", "--out", str(tmp_path / "s.csv")])
+        assert code == 4
+        assert capsys.readouterr().err == (
+            "error: literal1d mode requires exactly 3 classes, got 2\n"
+        )
+
     def test_no_sweep_settings_exits_2(self, tmp_path):
         code = main(["sweep", "--config", write_scenario(tmp_path, SINGLE_CLASS)])
         assert code == 2

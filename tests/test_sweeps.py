@@ -5,6 +5,8 @@ import pytest
 
 from caclab import (
     ConfigError,
+    ConvergenceError,
+    ModePreconditionError,
     SimParams,
     SweepSpec,
     SystemConfig,
@@ -13,7 +15,10 @@ from caclab import (
     default_scenario,
     kaufman_roberts,
     run_sweep,
+    solve,
 )
+from caclab import analytic
+from caclab.sweeps import DEFAULT_GRID
 
 from test_analytic import single_class
 
@@ -111,6 +116,60 @@ class TestRunSweep:
                     if r.lam == lam and r.class_label == str(k + 1)
                 ]
                 assert rows[0].blocking == pytest.approx(expected[k], abs=1e-9)
+
+
+def bits(x):
+    return np.float64(x).tobytes()
+
+
+class TestSweepMatchesSolve:
+    """Every batched analytic row equals a one-point solve bit for bit."""
+
+    def assert_rows_match_solve(self, spec):
+        result = run_sweep(spec)
+        for row in result.rows:
+            cfg = spec.base_config.with_arrival_rate(spec.swept_class, row.lam)
+            report = solve(cfg, row.mode)
+            expected = (
+                report.overall if row.class_label == "overall"
+                else report.per_class[int(row.class_label) - 1]
+            )
+            assert bits(row.blocking) == bits(expected), row
+        return result
+
+    @pytest.mark.parametrize("swept", [0, 1, 2])
+    def test_default_grid(self, swept):
+        spec = SweepSpec(default_scenario(), swept, DEFAULT_GRID, ("ctmc", "literal1d"))
+        result = self.assert_rows_match_solve(spec)
+        assert len(result.rows) == len(DEFAULT_GRID) * 4 * 2
+
+    def test_support_changes_mid_sweep(self):
+        # At lambda 0 the swept class's states drop out of the support,
+        # so the sweep solves two supports.
+        grid = (0.0, 0.2, 1.0, 2.6, 4.0)
+        spec = SweepSpec(default_scenario(), 1, grid, ("ctmc", "literal1d"))
+        self.assert_rows_match_solve(spec)
+
+    def test_power_sweep_path(self, monkeypatch):
+        monkeypatch.setattr(analytic, "DENSE_CEILING", 2)
+        spec = SweepSpec(default_scenario(), 0, (0.0, 0.5, 1.5), ("ctmc", "literal1d"))
+        self.assert_rows_match_solve(spec)
+
+    @pytest.mark.parametrize("grid, error, match", [
+        # Both modes overflow only at the second point, where literal1d
+        # sorts first.
+        ((1.0, 1000.0), ConvergenceError, "residual nan"),
+        # The recurrence already overflows at the first point, before
+        # literal1d's failure at the second.
+        ((20.0, 1000.0), ModePreconditionError, "recurrence overflows"),
+    ])
+    def test_first_failing_point_and_mode_raises(self, grid, error, match):
+        classes = tuple(
+            TrafficClassSpec(f"t{i + 1}", 1.0, 1.0, i + 1, i + 1) for i in range(3)
+        )
+        spec = SweepSpec(SystemConfig(400, classes), 0, grid, ("recurrence", "literal1d"))
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(error, match=match):
+            run_sweep(spec)
 
 
 class TestCompareAnalyticSim:
